@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use expander::{ExpanderDecomposition, SchedulerPolicy};
-use triangle::pipeline::{enumerate_via_decomposition, Packing, PipelineParams};
+use triangle::pipeline::{enumerate_via_decomposition, PipelineParams};
 
 /// The power-law instance every bench in this file decomposes
 /// (the family with no planted clusters — the measured path is its only
@@ -50,17 +50,13 @@ fn bench_measured_pipeline(c: &mut Criterion) {
     let g = workload();
     let mut group = c.benchmark_group("decomp_scale");
     group.sample_size(10);
-    for (label, exec, packing) in [
-        ("seq", congest::ExecMode::Sequential, Packing::Packed),
-        ("par", congest::ExecMode::Parallel, Packing::Packed),
-        // The one-id-per-round ablation: its gap against "par" is the
-        // packed-exchange win at the measured 10⁴-edge shape.
-        ("unpacked", congest::ExecMode::Parallel, Packing::Unpacked),
+    for (label, exec) in [
+        ("seq", congest::ExecMode::Sequential),
+        ("par", congest::ExecMode::Parallel),
     ] {
         let params = PipelineParams {
             exec,
             recursion_exec: exec,
-            packing,
             max_depth: 2,
             ..Default::default()
         };

@@ -1,12 +1,10 @@
 //! Criterion bench for the headline algorithm: the end-to-end
-//! expander-routed triangle enumeration pipeline, against the analytic
-//! congest_algo on the same inputs. This is the workload the CI
-//! bench-regression gate tracks (`BENCH_baseline.json`).
+//! expander-routed triangle enumeration pipeline. This is the workload
+//! the CI bench-regression gate tracks (`BENCH_baseline.json`).
 
 use bench_suite::gnp_family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use triangle::pipeline::{enumerate_via_decomposition, Packing, PipelineParams};
-use triangle::{congest_enumerate, TriangleConfig};
+use triangle::pipeline::{enumerate_via_decomposition, PipelineParams};
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
@@ -16,41 +14,10 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gnp", n), &g, |b, g| {
             b.iter(|| enumerate_via_decomposition(g, &PipelineParams::default()))
         });
-        group.bench_with_input(BenchmarkId::new("congest_algo_gnp", n), &g, |b, g| {
-            b.iter(|| congest_enumerate(g, &TriangleConfig::default()))
-        });
     }
     let (ring, _) = graph::gen::ring_of_cliques(6, 8).unwrap();
     group.bench_with_input(BenchmarkId::new("ring_of_cliques", 48), &ring, |b, g| {
         b.iter(|| enumerate_via_decomposition(g, &PipelineParams::default()))
-    });
-    // Engine-mode ablation on the densest input: the parallel scheduler's
-    // overhead (or speedup, on multi-core hosts) shows up here.
-    let g = gnp_family(48, 0.3, 42 + 48);
-    group.bench_with_input(BenchmarkId::new("gnp_seq_engine", 48), &g, |b, g| {
-        b.iter(|| {
-            enumerate_via_decomposition(
-                g,
-                &PipelineParams {
-                    exec: congest::ExecMode::Sequential,
-                    ..Default::default()
-                },
-            )
-        })
-    });
-    // Wire-format ablation: the one-id-per-round exchange the packed
-    // format replaced (DESIGN.md §10). The gap between this entry and
-    // pipeline/gnp/48 is the packing win the bench gate tracks.
-    group.bench_with_input(BenchmarkId::new("gnp_unpacked_exchange", 48), &g, |b, g| {
-        b.iter(|| {
-            enumerate_via_decomposition(
-                g,
-                &PipelineParams {
-                    packing: Packing::Unpacked,
-                    ..Default::default()
-                },
-            )
-        })
     });
     group.finish();
 }

@@ -1,8 +1,9 @@
-//! Criterion bench for E2: wall-clock of the three triangle enumerators.
+//! Criterion bench: wall-clock of the centralized and clique triangle
+//! enumerators (the CONGEST pipeline has its own bench, `pipeline`).
 
 use bench_suite::gnp_family;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use triangle::{clique_enumerate, congest_enumerate, enumerate_triangles, TriangleConfig};
+use triangle::{clique_enumerate, enumerate_triangles};
 
 fn bench_triangle(c: &mut Criterion) {
     let mut group = c.benchmark_group("triangle");
@@ -14,9 +15,6 @@ fn bench_triangle(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("clique_dlp", n), &g, |b, g| {
             b.iter(|| clique_enumerate(g))
-        });
-        group.bench_with_input(BenchmarkId::new("congest", n), &g, |b, g| {
-            b.iter(|| congest_enumerate(g, &TriangleConfig::default()))
         });
     }
     group.finish();

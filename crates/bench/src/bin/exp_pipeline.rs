@@ -5,13 +5,15 @@
 //! (cluster-heavy). For each n: run `enumerate_via_decomposition`, verify
 //! completeness against ground truth, and report the per-phase budgets —
 //! decomposition rounds, routing build/query rounds, measured engine
-//! traffic — next to the paper's `Õ(n^{1/3})` query budget. The fitted
-//! growth exponent of the heaviest routing instance is the headline
-//! number: the paper predicts ~1/3 up to polylog drift.
+//! traffic — next to the paper's `Õ(n^{1/3})` query budget and the
+//! rounds of the DLP CONGESTED-CLIQUE baseline on the same graph. The
+//! fitted growth exponent of the heaviest routing instance is the
+//! headline number: the paper predicts ~1/3 up to polylog drift, the same
+//! `Θ̃(n^{1/3})` shape as the clique baseline's exponent printed beside it.
 
 use bench_suite::{fit_exponent, gnp_family, Table};
-use triangle::enumerate_triangles;
 use triangle::pipeline::{enumerate_via_decomposition, PipelineParams};
+use triangle::{clique_enumerate, enumerate_triangles};
 
 fn main() {
     let mut table = Table::new(
@@ -29,10 +31,12 @@ fn main() {
             "engine_rounds",
             "engine_msgs",
             "total_rounds",
+            "clique_rounds",
             "complete",
         ],
     );
     let mut query_pts: Vec<(f64, f64)> = Vec::new();
+    let mut clique_pts: Vec<(f64, f64)> = Vec::new();
     let params = PipelineParams::default();
 
     let mut workloads: Vec<(String, graph::Graph)> = Vec::new();
@@ -46,7 +50,9 @@ fn main() {
 
     for (name, g) in &workloads {
         let report = enumerate_via_decomposition(g, &params);
-        let complete = report.triangles == enumerate_triangles(g);
+        let clique = clique_enumerate(g);
+        let truth = enumerate_triangles(g);
+        let complete = report.triangles == truth && clique.triangles == truth;
         let decomp: u64 = report.levels.iter().map(|l| l.decomposition_rounds).sum();
         let build: u64 = report.levels.iter().map(|l| l.routing_build_rounds).sum();
         let engine = report.phases.phase("enumerate");
@@ -63,10 +69,12 @@ fn main() {
             engine.rounds.to_string(),
             engine.messages.to_string(),
             report.total_rounds().to_string(),
+            clique.rounds.to_string(),
             complete.to_string(),
         ]);
         if name.starts_with("gnp") && report.max_routing_queries() > 0 {
             query_pts.push((g.n() as f64, report.max_routing_queries() as f64));
+            clique_pts.push((g.n() as f64, clique.rounds.max(1) as f64));
         }
     }
 
@@ -77,6 +85,10 @@ fn main() {
         println!(
             "\nfitted routing-query exponent on gnp: {:.3} (paper: ~1/3 + polylog drift)",
             fit_exponent(&query_pts)
+        );
+        println!(
+            "fitted clique (DLP) round exponent on gnp: {:.3} (paper: 1/3)",
+            fit_exponent(&clique_pts)
         );
     }
 }

@@ -45,9 +45,7 @@ use expander::{ClusterAssignment, SchedulerPolicy};
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
-use triangle::pipeline::{
-    enumerate_via_decomposition, enumerate_with_assignment, Packing, PipelineParams,
-};
+use triangle::pipeline::{enumerate_via_decomposition, enumerate_with_assignment, PipelineParams};
 
 struct Args {
     edges: usize,
@@ -65,10 +63,6 @@ struct Args {
     /// Fail the sweep if any single pipeline run exceeds this wall-clock
     /// budget (seconds) — the CI `decomp-scale-smoke` guard.
     budget_s: Option<f64>,
-    /// Adjacency-exchange wire format (`packed` default; `unpacked` is
-    /// the one-id-per-round ablation — the table's exch_rounds column
-    /// shows the packing factor between the two).
-    packing: Packing,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -88,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
         decompose_cap: 2_000_000,
         measured: false,
         budget_s: None,
-        packing: Packing::Packed,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -144,15 +137,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --decompose-cap: {e}"))?
             }
-            "--packing" => {
-                args.packing = match value("--packing")?.as_str() {
-                    "packed" => Packing::Packed,
-                    "unpacked" => Packing::Unpacked,
-                    other => {
-                        return Err(format!("unknown packing {other:?} (want packed|unpacked)"))
-                    }
-                }
-            }
             "--verify" => args.verify = true,
             "--measured" => args.measured = true,
             "--budget-s" => {
@@ -205,7 +189,7 @@ fn main() -> ExitCode {
                 "usage: exp_scale [--edges N] [--threads 1,2,4] [--modes seq,par] \
                  [--seed S] [--json out.jsonl] [--families power_law,planted4,ring_expanders] \
                  [--max-depth D] [--decompose-cap M] [--measured] [--budget-s S] \
-                 [--packing packed|unpacked] [--verify] [--tiny]"
+                 [--verify] [--tiny]"
             );
             return ExitCode::from(2);
         }
@@ -341,7 +325,6 @@ fn main() -> ExitCode {
                     recursion_exec: exec,
                     recursion_workers: t,
                     max_depth: args.max_depth,
-                    packing: args.packing,
                     ..Default::default()
                 };
                 let start = Instant::now();
@@ -350,11 +333,7 @@ fn main() -> ExitCode {
                     None => enumerate_via_decomposition(&w.graph, &params),
                 };
                 let wall = start.elapsed();
-                let suffix = match args.packing {
-                    Packing::Packed => "",
-                    Packing::Unpacked => "-unpacked",
-                };
-                let combo = format!("{mode}{suffix}/t{t}");
+                let combo = format!("{mode}/t{t}");
                 let exchange = report.phases.phase("enumerate");
                 // The cluster-phase split: per-job walls summed across
                 // cluster jobs (worker CPU time — can exceed the elapsed

@@ -280,7 +280,7 @@ fn main() -> ExitCode {
         // bit-for-bit with the chunked default, and the chunked default
         // should not be slower. ──
         if args.chunk_ablation {
-            let unbatched = engine.serve_unbatched(&stream, &policy);
+            let unbatched = engine.serve_chunked(&stream, &policy, 1);
             let same = unbatched.answers_match(&report);
             if !same {
                 eprintln!(

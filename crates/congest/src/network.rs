@@ -225,68 +225,6 @@ impl<'g> Network<'g> {
             ),
         }
     }
-
-    /// Like [`Network::run_collect`] but always sequential and without
-    /// `Send` bounds: for programs holding non-`Send` state (`Rc`,
-    /// thread-local caches). Ignores the configured [`ExecMode`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::run_collect`].
-    pub fn run_collect_local<P, F>(&self, make: F, max_rounds: usize) -> Result<(RunReport, Vec<P>)>
-    where
-        P: VertexProgram,
-        F: FnMut(VertexId) -> P,
-    {
-        scheduler::run_sequential(
-            self.g,
-            self.bandwidth_bits,
-            self.word_bits,
-            make,
-            max_rounds,
-        )
-    }
-
-    /// [`Network::run`] with [`ExecMode::Parallel`], regardless of the
-    /// configured mode.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::run`].
-    pub fn run_parallel<P, F>(&self, make: F, max_rounds: usize) -> Result<RunReport>
-    where
-        P: VertexProgram + Send,
-        P::Msg: Send + Sync,
-        F: FnMut(VertexId) -> P,
-    {
-        self.run_collect_parallel(make, max_rounds)
-            .map(|(report, _)| report)
-    }
-
-    /// [`Network::run_collect`] with [`ExecMode::Parallel`], regardless of
-    /// the configured mode.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Network::run_collect`].
-    pub fn run_collect_parallel<P, F>(
-        &self,
-        make: F,
-        max_rounds: usize,
-    ) -> Result<(RunReport, Vec<P>)>
-    where
-        P: VertexProgram + Send,
-        P::Msg: Send + Sync,
-        F: FnMut(VertexId) -> P,
-    {
-        scheduler::run_parallel(
-            self.g,
-            self.bandwidth_bits,
-            self.word_bits,
-            make,
-            max_rounds,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +305,8 @@ mod tests {
     fn sending_to_non_neighbor_fails_in_parallel_mode() {
         let g = gen::path(4).unwrap();
         let err = Network::new(&g)
-            .run_parallel(|_| SendToStranger, 10)
+            .with_exec_mode(ExecMode::Parallel)
+            .run(|_| SendToStranger, 10)
             .unwrap_err();
         assert_eq!(err, CongestError::NotANeighbor { from: 0, to: 3 });
     }

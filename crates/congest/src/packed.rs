@@ -170,28 +170,21 @@ impl IdStreamEncoder {
 
     /// Packs the next run of `items` greedily into one message: ids are
     /// appended while their varint fits `budget_bytes` (clamped to
-    /// [`MAX_PACKED_BYTES`]) and at most `max_ids` ids are taken —
-    /// `max_ids = 1` is the unpacked one-id-per-round ablation. Returns
-    /// `None` when the stream is exhausted.
+    /// [`MAX_PACKED_BYTES`]). Returns `None` when the stream is
+    /// exhausted.
     ///
     /// `items` must be strictly increasing and must be the same slice on
     /// every call (the encoder resumes mid-stream); both are debug
     /// asserted. A `budget_bytes < MAX_VARINT_BYTES` would stall on a
     /// worst-case gap, so the budget is raised to [`MAX_VARINT_BYTES`] —
     /// callers wanting model fidelity keep budgets ≥ one word anyway.
-    pub fn next_message(
-        &mut self,
-        items: &[u32],
-        budget_bytes: usize,
-        max_ids: usize,
-    ) -> Option<PackedIds> {
+    pub fn next_message(&mut self, items: &[u32], budget_bytes: usize) -> Option<PackedIds> {
         if self.pos >= items.len() {
             return None;
         }
         let budget = budget_bytes.clamp(MAX_VARINT_BYTES, MAX_PACKED_BYTES);
         let mut msg = PackedIds::empty();
-        let mut taken = 0usize;
-        while self.pos < items.len() && taken < max_ids.max(1) {
+        while self.pos < items.len() {
             let id = items[self.pos];
             debug_assert!(
                 id >= self.prev,
@@ -207,9 +200,8 @@ impl IdStreamEncoder {
             encode_varint(delta, &mut msg);
             self.prev = id.wrapping_add(1);
             self.pos += 1;
-            taken += 1;
         }
-        debug_assert!(taken > 0, "one varint always fits the clamped budget");
+        debug_assert!(msg.len > 0, "one varint always fits the clamped budget");
         Some(msg)
     }
 }
@@ -324,12 +316,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Drains `items` through an encoder with the given knobs and returns
-    /// the messages.
-    fn pack_all(items: &[u32], budget_bytes: usize, max_ids: usize) -> Vec<PackedIds> {
+    /// Drains `items` through an encoder with the given budget and
+    /// returns the messages.
+    fn pack_all(items: &[u32], budget_bytes: usize) -> Vec<PackedIds> {
         let mut enc = IdStreamEncoder::new();
         let mut out = Vec::new();
-        while let Some(msg) = enc.next_message(items, budget_bytes, max_ids) {
+        while let Some(msg) = enc.next_message(items, budget_bytes) {
             out.push(msg);
         }
         assert!(enc.finished(items));
@@ -365,31 +357,23 @@ mod tests {
             vec![5, 100, 101, 4000, 1 << 20, u32::MAX - 1],
             (0..500).map(|i| i * 3).collect::<Vec<u32>>(),
         ] {
-            let msgs = pack_all(&items, 16, usize::MAX);
+            let msgs = pack_all(&items, 16);
             assert_eq!(decode_all(&msgs), items);
         }
     }
 
     #[test]
     fn empty_stream_produces_no_messages() {
-        assert!(pack_all(&[], 16, usize::MAX).is_empty());
+        assert!(pack_all(&[], 16).is_empty());
         let mut enc = IdStreamEncoder::new();
-        assert!(enc.next_message(&[], 64, usize::MAX).is_none());
-    }
-
-    #[test]
-    fn unpacked_mode_ships_one_id_per_message() {
-        let items: Vec<u32> = (0..37).map(|i| i * 7).collect();
-        let msgs = pack_all(&items, 64, 1);
-        assert_eq!(msgs.len(), items.len());
-        assert_eq!(decode_all(&msgs), items);
+        assert!(enc.next_message(&[], 64).is_none());
     }
 
     #[test]
     fn greedy_packing_respects_the_byte_budget_and_makes_progress() {
         let items: Vec<u32> = (0..1000).map(|i| i * 11).collect();
         for budget in [5usize, 8, 16, 36, 64, 500] {
-            let msgs = pack_all(&items, budget, usize::MAX);
+            let msgs = pack_all(&items, budget);
             let cap = budget.clamp(MAX_VARINT_BYTES, MAX_PACKED_BYTES);
             for m in &msgs {
                 assert!(m.bytes().len() <= cap, "budget {budget} violated");
@@ -405,7 +389,7 @@ mod tests {
     #[test]
     fn validate_counts_ids() {
         let items = vec![3, 9, 12, 100_000];
-        let msgs = pack_all(&items, 64, usize::MAX);
+        let msgs = pack_all(&items, 64);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].validate(), Ok(4));
         assert_eq!(PackedIds::empty().validate(), Ok(0));
@@ -414,7 +398,7 @@ mod tests {
     #[test]
     fn truncation_is_an_error_not_a_panic() {
         // 300 encodes as 2 bytes; keep only the first (continuation set).
-        let msgs = pack_all(&[300], 16, usize::MAX);
+        let msgs = pack_all(&[300], 16);
         let full = msgs[0].bytes();
         assert_eq!(full.len(), 2);
         let cut = PackedIds::from_bytes(&full[..1]).unwrap();
@@ -436,7 +420,7 @@ mod tests {
             Err(PackedError::Overflow { at: 0 })
         ));
         // The maximum id itself is fine.
-        let msgs = pack_all(&[u32::MAX], 16, usize::MAX);
+        let msgs = pack_all(&[u32::MAX], 16);
         assert_eq!(decode_all(&msgs), vec![u32::MAX]);
     }
 
@@ -469,10 +453,9 @@ mod tests {
             start in any::<u32>(),
             gaps in proptest::collection::vec(any::<u32>(), 64),
             budget in 5usize..80,
-            max_ids in 1usize..20,
         ) {
             let items = ascending(start, &gaps);
-            let msgs = pack_all(&items, budget, max_ids);
+            let msgs = pack_all(&items, budget);
             prop_assert_eq!(decode_all(&msgs), items);
         }
 
@@ -500,7 +483,7 @@ mod tests {
             cut in 0usize..64,
         ) {
             let items = ascending(start, &gaps);
-            let msgs = pack_all(&items, 64, usize::MAX);
+            let msgs = pack_all(&items, 64);
             let full = msgs[0].bytes();
             let cut = cut.min(full.len());
             let truncated = PackedIds::from_bytes(&full[..cut]).unwrap();

@@ -43,6 +43,40 @@ pub struct VertexSet {
     mask: Option<Vec<bool>>,
 }
 
+/// Streams the intersection of two ascending id rows into `emit`, in
+/// ascending order, and returns the number of comparison steps the
+/// two-pointer merge took — at most `a.len() + b.len()`. The step count
+/// is the word charge of every triangle-service answer and churn-ledger
+/// delta, so it is part of the contract, not a diagnostic. This is the
+/// workspace's one sorted-row intersection: [`VertexSet::intersection`],
+/// the centralized enumerator, the query service and the churn ledger
+/// all call it.
+///
+/// # Example
+///
+/// ```
+/// let mut common = Vec::new();
+/// let steps = graph::intersect_sorted(&[1, 3, 5], &[2, 3, 6], |v| common.push(v));
+/// assert_eq!((common, steps), (vec![3], 4));
+/// ```
+#[inline]
+pub fn intersect_sorted(a: &[VertexId], b: &[VertexId], mut emit: impl FnMut(VertexId)) -> u64 {
+    let (mut i, mut j, mut steps) = (0usize, 0usize, 0u64);
+    while i < a.len() && j < b.len() {
+        steps += 1;
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                emit(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    steps
+}
+
 /// Whether a set of `len` members over `universe` vertices should carry the
 /// dense mask.
 #[inline]
@@ -233,18 +267,7 @@ impl VertexSet {
         assert_eq!(self.universe, other.universe, "universe mismatch");
         let (a, b) = (&self.members, &other.members);
         let mut out = Vec::with_capacity(a.len().min(b.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        intersect_sorted(a, b, |v| out.push(v));
         Self::from_sorted_members(self.universe, out)
     }
 
@@ -412,6 +435,8 @@ impl Cut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn empty_and_full() {
@@ -438,6 +463,46 @@ mod tests {
         assert_eq!(a.union(&b).len(), 4);
         assert_eq!(a.intersection(&b).iter().collect::<Vec<_>>(), vec![2]);
         assert_eq!(a.difference(&b).iter().collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
+    fn intersect_sorted_pins_output_and_step_count() {
+        let run = |a: &[VertexId], b: &[VertexId]| {
+            let mut out = Vec::new();
+            let steps = intersect_sorted(a, b, |v| out.push(v));
+            (out, steps)
+        };
+        assert_eq!(run(&[1, 3, 5], &[2, 3, 6]), (vec![3], 4));
+        assert_eq!(run(&[], &[1, 2, 3]), (vec![], 0));
+        assert_eq!(run(&[1, 2, 3], &[]), (vec![], 0));
+        let row: Vec<VertexId> = (10..17).collect();
+        assert_eq!(run(&row, &row), (row.clone(), row.len() as u64));
+        // Disjoint ranges stop as soon as one side is exhausted.
+        assert_eq!(run(&[1, 2], &[7, 8, 9]), (vec![], 2));
+    }
+
+    proptest! {
+        #[test]
+        fn intersect_sorted_matches_btreeset(
+            xs in proptest::collection::vec(0u32..96, 0..48),
+            ys in proptest::collection::vec(0u32..96, 0..48),
+        ) {
+            let sa: BTreeSet<VertexId> = xs.into_iter().collect();
+            let sb: BTreeSet<VertexId> = ys.into_iter().collect();
+            let a: Vec<VertexId> = sa.iter().copied().collect();
+            let b: Vec<VertexId> = sb.iter().copied().collect();
+            let want: Vec<VertexId> = sa.intersection(&sb).copied().collect();
+            let mut out = Vec::new();
+            let steps = intersect_sorted(&a, &b, |v| out.push(v));
+            prop_assert_eq!(&out, &want);
+            // Every step advances a cursor; a match is one step.
+            prop_assert!(steps <= (a.len() + b.len()) as u64);
+            prop_assert!(steps >= want.len() as u64);
+            // The charge is symmetric in its arguments.
+            let mut flipped = Vec::new();
+            prop_assert_eq!(intersect_sorted(&b, &a, |v| flipped.push(v)), steps);
+            prop_assert_eq!(flipped, want);
+        }
     }
 
     #[test]

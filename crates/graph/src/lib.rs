@@ -56,7 +56,7 @@ pub mod walks;
 pub mod working;
 
 pub use builder::GraphBuilder;
-pub use cut::{Cut, VertexSet};
+pub use cut::{intersect_sorted, Cut, VertexSet};
 pub use error::GraphError;
 pub use graph_impl::{EdgeIter, Graph, NeighborIter};
 pub use seed::derive_seed;

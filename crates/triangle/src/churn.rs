@@ -41,12 +41,12 @@
 
 use crate::count::{count_triangles, Triangle};
 use crate::pipeline::PipelineParams;
-use crate::service::{merge_intersect, QueryEngine};
+use crate::service::QueryEngine;
 use expander::recluster::{recluster_broken, ReclusterParams};
 use expander::ClusterAssignment;
 use graph::seed::derive_seed;
 use graph::working::WorkingGraph;
-use graph::{Graph, VertexId};
+use graph::{intersect_sorted, Graph, VertexId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -329,7 +329,7 @@ impl DeltaLedger {
                 self.row_v.push(w);
             }
         }
-        merge_intersect(&self.row_u, &self.row_v, |w| {
+        intersect_sorted(&self.row_u, &self.row_v, |w| {
             if w != u && w != v {
                 emit(w);
             }

@@ -1,6 +1,6 @@
 //! Centralized triangle enumeration: ground truth and work baselines.
 
-use graph::{Graph, VertexId};
+use graph::{intersect_sorted, Graph, VertexId};
 
 /// A triangle, stored with its vertices sorted (`a < b < c`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,20 +91,7 @@ pub fn enumerate_triangles(g: &Graph) -> Vec<Triangle> {
     for u in 0..n as VertexId {
         let ou = &out[u as usize];
         for &v in ou {
-            let ov = &out[v as usize];
-            // Merge-intersect out(u) and out(v).
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ou.len() && j < ov.len() {
-                match ou[i].cmp(&ov[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        found.push(Triangle::new(u, v, ou[i]));
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+            intersect_sorted(ou, &out[v as usize], |w| found.push(Triangle::new(u, v, w)));
         }
     }
     found.sort_unstable();

@@ -1,15 +1,16 @@
 //! Closed-form DLP triple-ownership accounting (DESIGN.md §11).
 //!
-//! Both triangle front ends charge the Dolev–Lenzen–Peled redistribution
-//! step the same way: the (global) vertex set is hashed into
-//! `g = ⌈|Vᵢ|^{1/3}⌉` groups, every cluster-incident edge lands in the
-//! bucket of its endpoint-group pair, the `T = C(g+2, 3)` group triples
-//! are assigned to cluster members in degree-proportional consecutive
-//! lexicographic ranges, and each owner receives the (up to) three pair
-//! buckets of each of its triples. The seed implementations *enumerated*
-//! all `T` triples and walked each referenced bucket —
-//! `O(C(g+2,3) · avg bucket)` work that dominated the measured cluster
-//! phase. This module computes the identical quantities in closed form:
+//! The pipeline charges the Dolev–Lenzen–Peled redistribution step as
+//! follows: the (global) vertex set is hashed into `g = ⌈|Vᵢ|^{1/3}⌉`
+//! groups, every cluster-incident edge lands in the bucket of its
+//! endpoint-group pair, the `T = C(g+2, 3)` group triples are assigned to
+//! cluster members in degree-proportional consecutive lexicographic
+//! ranges, and each owner receives the (up to) three *distinct* pair
+//! buckets of each of its triples (a degenerate triple's repeated pair is
+//! delivered once). The seed implementation *enumerated* all `T` triples
+//! and walked each referenced bucket — `O(C(g+2,3) · avg bucket)` work
+//! that dominated the measured cluster phase. This module computes the
+//! identical quantities in closed form:
 //!
 //! * **Rank.** The lexicographic position of a sorted triple
 //!   `(t₁ ≤ t₂ ≤ t₃)` is
@@ -27,34 +28,13 @@
 //!
 //! Total accounting work is `O(g² + Σ|bucket| + |Vᵢ|)` (and `g³ = O(|Vᵢ|)`
 //! by the choice of `g`) instead of `O(T · avg bucket)`. The enumerating
-//! references are retained here verbatim ([`DlpInstance::enumerated_batches`],
-//! [`DlpInstance::enumerated_owner_loads`]) so the equivalence suite can
-//! pin the closed form to them bit-for-bit, and so a regression back to
-//! enumeration is measurable (both paths count their operations).
-//!
-//! The two front ends differ in one semantic knob ([`PairWeighting`]):
-//! the pipeline delivers each *distinct* pair bucket of a triple once
-//! (degenerate triples dedup their repeated pairs), while the analytic
-//! `congest_algo` charge counts every pair slot, so a pair repeated by a
-//! degenerate triple is delivered with multiplicity. In closed form the
-//! multiplicity is a weight on the referencing `x`: for `a < b` the
-//! triple `{a, b, x}` contains pair `{a, b}` twice iff `x ∈ {a, b}`, and
-//! for `a = b` three times iff `x = a`.
+//! reference is retained here verbatim ([`DlpInstance::enumerated_batches`])
+//! so the equivalence suite can pin the closed form to it bit-for-bit, and
+//! so a regression back to enumeration is measurable (both paths count
+//! their operations).
 
 use graph::{Graph, VertexId, VertexSet};
 use routing::EdgeBatch;
-
-/// How a triple's (up to three) pair-bucket references are counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PairWeighting {
-    /// Each *distinct* pair of a triple is delivered once (the
-    /// pipeline's semantics: degenerate triples dedup their repeats).
-    /// Every pair bucket is referenced by exactly `g` triples.
-    DedupPairs,
-    /// Every pair slot counts (the analytic `congest_algo` semantics).
-    /// Every pair bucket accrues total weight `g + 2`.
-    TripleMultiplicity,
-}
 
 /// Aggregate per-vertex word loads of one cluster's DLP redistribution,
 /// plus the operation count that produced them.
@@ -207,17 +187,11 @@ impl<'a> DlpInstance<'a> {
         w > u || !self.part.contains(w)
     }
 
-    /// Visits the weighted owner references of pair `(a ≤ b)`:
-    /// `emit(owner_index, weight_sum)` for every owner whose range
-    /// contains at least one of the `g` referencing triples, owners
-    /// ascending. Returns the number of loop operations performed.
-    fn pair_owner_refs(
-        &self,
-        a: u32,
-        b: u32,
-        weighting: PairWeighting,
-        mut emit: impl FnMut(usize, u64),
-    ) -> u64 {
+    /// Visits the owner references of pair `(a ≤ b)`:
+    /// `emit(owner_index, triples)` for every owner whose range contains
+    /// at least one of the `g` referencing triples, owners ascending.
+    /// Returns the number of loop operations performed.
+    fn pair_owner_refs(&self, a: u32, b: u32, mut emit: impl FnMut(usize, u64)) -> u64 {
         let mut ops = 0u64;
         let mut owner = usize::MAX;
         let mut acc = 0u64;
@@ -232,23 +206,6 @@ impl<'a> DlpInstance<'a> {
                 (a, b, x)
             };
             let r = self.rank(t1, t2, t3);
-            let w = match weighting {
-                PairWeighting::DedupPairs => 1,
-                PairWeighting::TripleMultiplicity if a == b => {
-                    if x == a {
-                        3
-                    } else {
-                        1
-                    }
-                }
-                PairWeighting::TripleMultiplicity => {
-                    if x == a || x == b {
-                        2
-                    } else {
-                        1
-                    }
-                }
-            };
             // Ranks increase with x, so the owner pointer only advances.
             let o = if owner == usize::MAX {
                 self.bounds.partition_point(|&bound| bound <= r) - 1
@@ -267,7 +224,7 @@ impl<'a> DlpInstance<'a> {
                 owner = o;
                 acc = 0;
             }
-            acc += w;
+            acc += 1;
         }
         if owner != usize::MAX {
             emit(owner, acc);
@@ -288,15 +245,14 @@ impl<'a> DlpInstance<'a> {
     ///
     /// ```
     /// use graph::VertexSet;
-    /// use triangle::dlp::{DlpInstance, PairWeighting};
+    /// use triangle::dlp::DlpInstance;
     ///
     /// let g = graph::gen::gnp(30, 0.3, 7).unwrap();
     /// let part = VertexSet::from_iter(g.n(), 0..30u32);
     /// let members: Vec<u32> = part.iter().collect();
     /// let inst = DlpInstance::new(&g, &part, &members, 42);
     /// let (mut pair_raw, mut holder_inc) = (Vec::new(), Vec::new());
-    /// let loads = inst.aggregate_loads(
-    ///     PairWeighting::DedupPairs, &mut pair_raw, &mut holder_inc);
+    /// let loads = inst.aggregate_loads(&mut pair_raw, &mut holder_inc);
     /// let sent: u64 = loads.holders.iter().map(|&(_, w)| w).sum();
     /// let recv: u64 = loads.owners.iter().map(|&(_, w)| w).sum();
     /// assert_eq!(sent, recv);
@@ -304,7 +260,6 @@ impl<'a> DlpInstance<'a> {
     /// ```
     pub fn aggregate_loads(
         &self,
-        weighting: PairWeighting,
         pair_raw: &mut Vec<u64>,
         holder_inc: &mut Vec<u64>,
     ) -> AggregateLoads {
@@ -328,8 +283,8 @@ impl<'a> DlpInstance<'a> {
             }
         }
 
-        // Reference pass: each non-empty pair bucket contributes
-        // `weight × raw` words to every owner referencing it.
+        // Reference pass: each non-empty pair bucket contributes `raw`
+        // words per referencing triple to the triple's owner.
         let owners_cnt = self.bounds.len() - 1;
         let mut recv = vec![0u64; owners_cnt];
         for a in 0..g as u32 {
@@ -339,21 +294,17 @@ impl<'a> DlpInstance<'a> {
                 if raw == 0 {
                     continue;
                 }
-                ops += self.pair_owner_refs(a, b, weighting, |o, w| recv[o] += w * raw);
+                ops += self.pair_owner_refs(a, b, |o, triples| recv[o] += triples * raw);
             }
         }
 
-        // Every pair bucket is referenced with the same total weight, so
+        // Every pair bucket is referenced by exactly `g` triples, so
         // holder loads need no per-pair accounting at all.
-        let per_pair_refs = match weighting {
-            PairWeighting::DedupPairs => g as u64,
-            PairWeighting::TripleMultiplicity => g as u64 + 2,
-        };
         let holders: Vec<(VertexId, u64)> = holder_inc
             .iter()
             .enumerate()
             .filter(|&(_, &inc)| inc > 0)
-            .map(|(lu, &inc)| (lu as VertexId, inc * per_pair_refs))
+            .map(|(lu, &inc)| (lu as VertexId, inc * g as u64))
             .collect();
         let owners: Vec<(VertexId, u64)> = recv
             .iter()
@@ -389,9 +340,9 @@ impl<'a> DlpInstance<'a> {
         }
     }
 
-    /// Materializes the closed-form batch list (pipeline semantics:
-    /// [`PairWeighting::DedupPairs`], one batch per (holder, owner) pair
-    /// with a non-zero word total, canonically sorted by `(src, dst)`).
+    /// Materializes the closed-form batch list: one batch per
+    /// (holder, owner) pair with a non-zero word total, canonically
+    /// sorted by `(src, dst)`.
     ///
     /// Test-facing: production uses [`DlpInstance::aggregate_loads`],
     /// which summarizes this exact list without building it — the
@@ -424,8 +375,8 @@ impl<'a> DlpInstance<'a> {
                 if buckets[pair].is_empty() {
                     continue;
                 }
-                self.pair_owner_refs(a, b, PairWeighting::DedupPairs, |o, w| {
-                    refs.push((o as u32, pair as u32, w));
+                self.pair_owner_refs(a, b, |o, triples| {
+                    refs.push((o as u32, pair as u32, triples));
                 });
             }
         }
@@ -533,43 +484,5 @@ impl<'a> DlpInstance<'a> {
         flush(owner, &mut counts, &mut touched);
         batches.sort_unstable_by_key(|b| (b.src, b.dst));
         (batches, ops)
-    }
-
-    /// The retained enumerating reference for the analytic front end's
-    /// per-owner receive loads ([`PairWeighting::TripleMultiplicity`],
-    /// no pair dedup): returns `(owner_index, words)` for every owner
-    /// with a non-zero load, owners ascending.
-    pub fn enumerated_owner_loads(&self) -> Vec<(VertexId, u64)> {
-        let g = self.groups;
-        let mut pair_raw = vec![0u64; g * g];
-        for (lu, &u) in self.members.iter().enumerate() {
-            let _ = lu;
-            let gu = self.group_of(u);
-            for &w in self.graph.neighbors(u) {
-                if self.holds_edge(u, w) {
-                    pair_raw[self.pair_index(gu, self.group_of(w))] += 1;
-                }
-            }
-        }
-        let mut recv = vec![0u64; self.members.len()];
-        let mut owner = 0usize;
-        for a in 0..g as u32 {
-            for b in a..g as u32 {
-                for c in b..g as u32 {
-                    recv[owner] += pair_raw[self.pair_index(a, b)]
-                        + pair_raw[self.pair_index(b, c)]
-                        + pair_raw[self.pair_index(a, c)];
-                    let r = self.rank(a, b, c);
-                    if owner + 1 < self.bounds.len() - 1 && r + 1 >= self.bounds[owner + 1] {
-                        owner += 1;
-                    }
-                }
-            }
-        }
-        recv.iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0)
-            .map(|(o, &w)| (o as VertexId, w))
-            .collect()
     }
 }

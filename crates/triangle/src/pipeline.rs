@@ -6,8 +6,7 @@
 //! its [`expander::ClusterAssignment`] contract), [`routing`]'s batched
 //! [`routing::EdgeBatch`] deliveries, and the [`congest`] engine in
 //! [`ExecMode::Parallel`] — into the single entry point
-//! [`enumerate_via_decomposition`]. Where [`crate::congest_algo`] charges
-//! the listing rounds analytically, the pipeline *executes* the
+//! [`enumerate_via_decomposition`]. The pipeline *executes* the
 //! intra-cluster exchange as a real [`congest::VertexProgram`] per cluster
 //! and reports measured engine traffic per phase next to the analytic
 //! routing/decomposition charges and the paper's budgets.
@@ -81,12 +80,6 @@ pub struct PipelineParams {
     pub max_depth: usize,
     /// How the engine steps vertices inside each cluster run.
     pub exec: ExecMode,
-    /// Whether the adjacency exchange packs several neighbor ids into
-    /// each `O(log n)`-bit message ([`Packing::Packed`], the default) or
-    /// streams one id per round ([`Packing::Unpacked`] — the ablation /
-    /// regression baseline). Output is bit-identical either way; only
-    /// engine rounds/messages differ.
-    pub packing: Packing,
     /// How sibling cluster jobs of one recursion level are scheduled
     /// (`Parallel` = work-stealing worker tasks; output is bit-for-bit
     /// the `Sequential` output either way).
@@ -108,52 +101,9 @@ impl Default for PipelineParams {
             seed: 0,
             max_depth: 12,
             exec: ExecMode::Parallel,
-            packing: Packing::Packed,
             recursion_exec: ExecMode::Parallel,
             recursion_workers: 0,
             witness_cap: 16,
-        }
-    }
-}
-
-/// How the intra-cluster adjacency exchange uses its per-round
-/// bandwidth budget.
-///
-/// # Examples
-///
-/// Packing changes rounds and messages, never the answer:
-///
-/// ```
-/// use triangle::pipeline::{enumerate_via_decomposition, Packing, PipelineParams};
-///
-/// let g = graph::gen::gnp(24, 0.4, 3).unwrap();
-/// let packed = enumerate_via_decomposition(&g, &PipelineParams::default());
-/// let unpacked = enumerate_via_decomposition(
-///     &g,
-///     &PipelineParams { packing: Packing::Unpacked, ..Default::default() },
-/// );
-/// assert_eq!(packed.triangles, unpacked.triangles);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Packing {
-    /// Delta-varint runs packed greedily into the `O(log n)`-bit word
-    /// budget of each round (DESIGN.md §10): exchange rounds drop from
-    /// `Δ_cluster` to `⌈Δ / ids-per-message⌉`.
-    #[default]
-    Packed,
-    /// One id per message per round — the pre-packing wire format, kept
-    /// as the measurable baseline so a regression to it fails loudly.
-    Unpacked,
-}
-
-impl Packing {
-    /// Cap on ids per message: unlimited for [`Packing::Packed`] (the
-    /// byte budget is the binding constraint), 1 for
-    /// [`Packing::Unpacked`].
-    fn max_ids_per_message(self) -> usize {
-        match self {
-            Packing::Packed => usize::MAX,
-            Packing::Unpacked => 1,
         }
     }
 }
@@ -733,7 +683,6 @@ fn run_cluster(
         &mut scratch.adj,
     ));
 
-    let dbg_scale = std::env::var_os("PIPELINE_PHASE_DEBUG").is_some() && local_n > 10_000;
     let t_route = Instant::now();
     // ── Phase: route — closed-form redistribution accounting of the
     // cluster-incident edge slices to the DLP triple owners, charged via
@@ -748,9 +697,6 @@ fn run_cluster(
         &mut scratch,
     );
     let wall_dlp = t_route.elapsed();
-    if dbg_scale {
-        eprintln!("    cluster n={local_n}: route {wall_dlp:.2?}");
-    }
     let t_engine = Instant::now();
 
     // ── Phase: enumerate — the bandwidth-packed adjacency exchange on
@@ -782,10 +728,8 @@ fn run_cluster(
     let max_items = full_adj.iter().map(Vec::len).max().unwrap_or(0);
     let network = Network::new(sub.graph()).with_exec_mode(params.exec);
     // The per-round packing budget: the link's whole O(log n)-bit budget,
-    // in bytes. Unpacked mode keeps the same wire format but caps every
-    // message at one id, reproducing the one-id-per-round baseline.
+    // in bytes.
     let budget_bytes = packed::round_budget_bytes(network.bandwidth_bits());
-    let max_ids = params.packing.max_ids_per_message();
     let adj_for_make = Arc::clone(&full_adj);
     let higher_for_make = Arc::clone(&higher);
     let make = move |v: VertexId| {
@@ -794,19 +738,12 @@ fn run_cluster(
             Arc::clone(&adj_for_make),
             Arc::clone(&higher_for_make),
             budget_bytes,
-            max_ids,
         )
     };
     let (engine, programs) = network
         .run_collect(make, max_items + 2)
         .expect("adjacency exchange is a valid CONGEST program");
     let wall_exchange = t_engine.elapsed();
-    if dbg_scale {
-        eprintln!(
-            "    cluster n={local_n}: engine {wall_exchange:.2?} ({} rounds, {} msgs)",
-            engine.rounds, engine.messages
-        );
-    }
     let t_join = Instant::now();
 
     // Local joins: for every intra-cluster edge {u, v} (lower local id
@@ -833,9 +770,6 @@ fn run_cluster(
     triangles.sort_unstable();
     triangles.dedup();
     let wall_join = t_join.elapsed();
-    if dbg_scale {
-        eprintln!("    cluster n={local_n}: join {wall_join:.2?}");
-    }
 
     // The programs held the only other Arc clones; reclaim the adjacency
     // buffers into the arena for the next job.
@@ -908,11 +842,7 @@ fn route_cluster_slices(
     // incident edge slice, recorded by its local id (`part.iter()` is
     // sorted, so the member-list index IS the local id).
     let instance = dlp::DlpInstance::new(current, part, members, derive_seed(cluster_seed, 2));
-    let loads = instance.aggregate_loads(
-        dlp::PairWeighting::DedupPairs,
-        &mut scratch.pair_raw,
-        &mut scratch.holder_inc,
-    );
+    let loads = instance.aggregate_loads(&mut scratch.pair_raw, &mut scratch.holder_inc);
     let outcome = hierarchy
         .route_edge_loads(sub.graph(), &loads.holders, &loads.owners)
         .expect("load endpoints are cluster-local");
@@ -935,10 +865,7 @@ fn route_cluster_slices(
 /// only the intersection — the triangle third-vertices the join needs —
 /// plus `O(1)` codec state per sender.
 ///
-/// Rounds = `⌈max full-graph degree in the cluster / ids-per-message⌉`
-/// (was: `max degree`, one id per round). With [`Packing::Unpacked`] the
-/// encoder caps every message at one id, reproducing the old behavior
-/// for ablations.
+/// Rounds = `⌈max full-graph degree in the cluster / ids-per-message⌉`.
 struct AdjacencyExchange {
     me: usize,
     /// Shared per-vertex full-graph adjacency, indexed by local id.
@@ -947,8 +874,6 @@ struct AdjacencyExchange {
     enc: IdStreamEncoder,
     /// Per-round packing budget in bytes (the link bandwidth).
     budget_bytes: usize,
-    /// Ids-per-message cap (1 = unpacked ablation).
-    max_ids: usize,
     /// Shared per-vertex sorted higher-local-id cluster neighbor lists:
     /// `higher[me]` names the only senders this vertex consumes.
     higher: Arc<Vec<Vec<VertexId>>>,
@@ -967,7 +892,6 @@ impl AdjacencyExchange {
         adj: Arc<Vec<Vec<VertexId>>>,
         higher: Arc<Vec<Vec<VertexId>>>,
         budget_bytes: usize,
-        max_ids: usize,
     ) -> Self {
         let slots = higher[me as usize].len();
         AdjacencyExchange {
@@ -975,7 +899,6 @@ impl AdjacencyExchange {
             adj,
             enc: IdStreamEncoder::new(),
             budget_bytes,
-            max_ids,
             higher,
             decoders: vec![IdStreamDecoder::new(); slots],
             cursors: vec![0; slots],
@@ -994,10 +917,7 @@ impl AdjacencyExchange {
     }
 
     fn stream_next(&mut self, ctx: &mut Ctx<'_, PackedIds>) {
-        if let Some(msg) =
-            self.enc
-                .next_message(&self.adj[self.me], self.budget_bytes, self.max_ids)
-        {
+        if let Some(msg) = self.enc.next_message(&self.adj[self.me], self.budget_bytes) {
             ctx.broadcast(msg);
         }
     }
@@ -1075,6 +995,22 @@ mod tests {
             let g = gen::gnp(40, 0.25, seed).unwrap();
             assert_complete(&g, &PipelineParams::default());
         }
+        // Dense inputs: most of the graph stays one cluster.
+        assert_complete(&gen::gnp(24, 0.5, 4).unwrap(), &PipelineParams::default());
+        assert_complete(&gen::complete(16).unwrap(), &PipelineParams::default());
+        // An out-of-range ε is clamped to the paper's 1/6, so the run is
+        // the default run.
+        let g = gen::gnp(30, 0.3, 1).unwrap();
+        let clamped = assert_complete(
+            &g,
+            &PipelineParams {
+                epsilon: 0.9,
+                ..Default::default()
+            },
+        );
+        let default = enumerate_via_decomposition(&g, &PipelineParams::default());
+        assert_eq!(clamped.total_rounds(), default.total_rounds());
+        assert_eq!(clamped.schedule.epsilon, 1.0 / 6.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use expander::decomposition::RemovalTag;
 use expander::scheduler::{derive_seed, run_jobs, JobStats, SchedulerPolicy, ScratchPool};
 use expander::{ClusterAssignment, ClusterCertificate, ExpanderDecomposition};
 use graph::view::Subgraph;
-use graph::{Graph, VertexId, VertexSet, WorkingGraph};
+use graph::{intersect_sorted, Graph, VertexId, VertexSet, WorkingGraph};
 use routing::{HierarchyParts, QueryCharge, RoutingHierarchy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -524,7 +524,7 @@ impl QueryEngine {
                     }
                     // Both u and the emitted w are neighbors of v; keeping
                     // w > u names each triangle {v, u, w} exactly once.
-                    words += merge_intersect(adj, self.adj_of(u), |w| {
+                    words += intersect_sorted(adj, self.adj_of(u), |w| {
                         if w > u && w != v {
                             count += 1;
                             if emit == Emit::Enumerate {
@@ -555,7 +555,7 @@ impl QueryEngine {
                 if u != v {
                     let au = self.adj_of(u);
                     if au.binary_search(&v).is_ok() {
-                        words += merge_intersect(au, self.adj_of(v), |w| {
+                        words += intersect_sorted(au, self.adj_of(v), |w| {
                             if w != u && w != v {
                                 count += 1;
                                 if emit == Emit::Enumerate {
@@ -585,7 +585,7 @@ impl QueryEngine {
                         continue;
                     }
                     let mut support = 0u64;
-                    words += merge_intersect(adj, self.adj_of(u), |w| {
+                    words += intersect_sorted(adj, self.adj_of(u), |w| {
                         if w != u && w != v {
                             support += 1;
                         }
@@ -622,9 +622,9 @@ impl QueryEngine {
     ///
     /// Answers are merged back in submission order and each query is a
     /// pure function of the artifact, so the report is **bit-identical**
-    /// for every worker count *and* every chunk size —
-    /// [`QueryEngine::serve_unbatched`] is the retained per-query
-    /// reference, pinned equal in `tests/service_equivalence.rs`.
+    /// for every worker count *and* every chunk size — chunk size 1 (one
+    /// scheduler job per query) is the reference
+    /// `tests/service_equivalence.rs` pins it against.
     pub fn serve(&self, queries: &[Query], policy: &SchedulerPolicy) -> ServeReport {
         let workers = policy.effective_workers(queries.len()).max(1);
         let chunk = queries.len().div_ceil(workers * 4).max(1);
@@ -653,31 +653,6 @@ impl QueryEngine {
         let mut answers = Vec::with_capacity(queries.len());
         let mut latencies = Vec::with_capacity(queries.len());
         for (a, l) in chunks.into_iter().flatten() {
-            answers.push(a);
-            latencies.push(l);
-        }
-        ServeReport {
-            answers,
-            latencies,
-            wall: t0.elapsed(),
-            stats,
-        }
-    }
-
-    /// The PR 7 serve path: one scheduler job **per query**. Kept as the
-    /// executable reference for the batching ablation (the same role
-    /// `CONGEST_ENGINE_FULL_SCAN` plays for the worklist engine) —
-    /// `exp_serve --chunk 1`-style sweeps and the equivalence tests pin
-    /// [`QueryEngine::serve`] bit-identical to this.
-    pub fn serve_unbatched(&self, queries: &[Query], policy: &SchedulerPolicy) -> ServeReport {
-        let t0 = Instant::now();
-        let (results, stats) = run_jobs(queries.to_vec(), policy, |_, q| {
-            let t = Instant::now();
-            (self.answer(q), t.elapsed())
-        });
-        let mut answers = Vec::with_capacity(results.len());
-        let mut latencies = Vec::with_capacity(results.len());
-        for (a, l) in results {
             answers.push(a);
             latencies.push(l);
         }
@@ -894,32 +869,6 @@ impl QueryEngine {
 
 fn duration_to_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Streams the sorted intersection of two adjacency rows into `emit`,
-/// returning the number of comparison steps — the **words** both rows
-/// contributed to the merge, which is what the query's routing charge
-/// counts. Crate-visible: the churn ledger's triangle-delta kernel is
-/// this same merge over the overlay's sorted rows.
-pub(crate) fn merge_intersect(
-    a: &[VertexId],
-    b: &[VertexId],
-    mut emit: impl FnMut(VertexId),
-) -> u64 {
-    let (mut i, mut j, mut steps) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        steps += 1;
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                emit(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    steps
 }
 
 /// Outcome of one [`QueryEngine::serve`] batch.
@@ -1270,7 +1219,7 @@ mod tests {
             })
             .collect();
         let policy = SchedulerPolicy::with_workers(4);
-        let reference = engine.serve_unbatched(&queries, &policy);
+        let reference = engine.serve_chunked(&queries, &policy, 1);
         for chunk in [0, 1, 3, 64, 150, 10_000] {
             let batched = engine.serve_chunked(&queries, &policy, chunk);
             assert!(

@@ -1,18 +1,15 @@
 //! Equivalence suite for the closed-form DLP accounting (DESIGN.md §11).
 //!
-//! The production paths ([`triangle::pipeline`]'s cluster routing and
-//! [`triangle::congest_algo`]'s analytic charge) compute the DLP
-//! redistribution in closed form via [`triangle::dlp::DlpInstance`].
-//! This suite pins that closed form **bit-for-bit** to the retained
-//! enumerating references (the seed implementations that walked all
-//! `C(g+2, 3)` group triples):
+//! The production path ([`triangle::pipeline`]'s cluster routing)
+//! computes the DLP redistribution in closed form via
+//! [`triangle::dlp::DlpInstance`]. This suite pins that closed form
+//! **bit-for-bit** to the retained enumerating reference (the seed
+//! implementation that walked all `C(g+2, 3)` group triples):
 //!
-//! * the materialized [`EdgeBatch`] list (pipeline semantics, pair-dedup
-//!   per triple) — identical batches, identical canonical order;
+//! * the materialized [`EdgeBatch`] list (pair-dedup per triple) —
+//!   identical batches, identical canonical order;
 //! * the aggregate per-holder / per-owner word loads — identical to the
 //!   batch list's row and column sums;
-//! * the per-owner receive loads under triple multiplicity
-//!   (`congest_algo` semantics) — identical to the enumerating loop;
 //! * the operation counts — the closed form stays within its
 //!   `O(g² + Σ|bucket| + |Vᵢ|)` budget and strictly undercuts the
 //!   enumeration it replaced (the ledger regression guard).
@@ -21,10 +18,10 @@ use graph::{gen, Graph, VertexId, VertexSet};
 use proptest::prelude::*;
 use routing::EdgeBatch;
 use std::collections::BTreeMap;
-use triangle::dlp::{DlpInstance, PairWeighting};
+use triangle::dlp::DlpInstance;
 
-/// Full cross-check of one cluster: closed form vs both enumerating
-/// references, plus internal consistency of the aggregate loads.
+/// Full cross-check of one cluster: closed form vs the enumerating
+/// reference, plus internal consistency of the aggregate loads.
 fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
     let members: Vec<VertexId> = part.iter().collect();
     if members.is_empty() {
@@ -39,7 +36,7 @@ fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
 
     // 2. Aggregate loads == the batch list's row/column sums.
     let (mut pair_raw, mut holder_inc) = (Vec::new(), Vec::new());
-    let agg = instance.aggregate_loads(PairWeighting::DedupPairs, &mut pair_raw, &mut holder_inc);
+    let agg = instance.aggregate_loads(&mut pair_raw, &mut holder_inc);
     let mut by_holder: BTreeMap<VertexId, u64> = BTreeMap::new();
     let mut by_owner: BTreeMap<VertexId, u64> = BTreeMap::new();
     for b in &closed {
@@ -59,14 +56,6 @@ fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
         agg.ops_budget
     );
     let _ = enum_ops;
-
-    // 4. The congest_algo mirror: triple-multiplicity owner loads.
-    let mult = instance.aggregate_loads(
-        PairWeighting::TripleMultiplicity,
-        &mut pair_raw,
-        &mut holder_inc,
-    );
-    assert_eq!(mult.owners, instance.enumerated_owner_loads());
 }
 
 /// A deterministic pseudo-random subset of `{0, …, n-1}` (never empty).
@@ -167,7 +156,7 @@ fn closed_form_undercuts_enumeration_at_scale() {
     let instance = DlpInstance::new(&g, &part, &members, 23);
 
     let (mut pair_raw, mut holder_inc) = (Vec::new(), Vec::new());
-    let agg = instance.aggregate_loads(PairWeighting::DedupPairs, &mut pair_raw, &mut holder_inc);
+    let agg = instance.aggregate_loads(&mut pair_raw, &mut holder_inc);
     let (_, enum_ops) = instance.enumerated_batches();
 
     assert!(agg.ops <= agg.ops_budget);

@@ -22,27 +22,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("ground truth: {} triangles", truth.len());
 
     // Theorem 2: CONGEST via expander decomposition + expander routing.
-    let congest_out = congest_enumerate(g, &TriangleConfig::default());
+    let congest_out = enumerate_via_decomposition(g, &PipelineParams::default());
     assert_eq!(
         congest_out.triangles, truth,
         "CONGEST listing must be complete"
     );
     println!(
-        "CONGEST:  {} triangles in {} charged rounds ({} recursion levels)",
-        congest_out.triangles.len(),
-        congest_out.rounds,
-        congest_out.levels.len()
+        "CONGEST:  {} triangles in {} charged rounds ({} recursion levels, \
+         heaviest cluster {} routing queries)",
+        congest_out.count(),
+        congest_out.total_rounds(),
+        congest_out.levels.len(),
+        congest_out.max_routing_queries()
     );
-    for (i, l) in congest_out.levels.iter().enumerate() {
+    for l in &congest_out.levels {
         println!(
-            "  level {i}: m = {:>6}, clusters = {:>3}, decomp = {:>10} rounds, \
-             routing build = {:>8}, listing = {:>8} ({} queries)",
+            "  level {}: m = {:>6}, clusters = {:>3}, decomp = {:>10} rounds, \
+             routing build = {:>8}, routing = {:>8} ({} queries), exchange = {} engine rounds",
+            l.depth,
             l.m,
             l.clusters,
             l.decomposition_rounds,
             l.routing_build_rounds,
-            l.listing_rounds,
-            l.max_queries
+            l.routing_rounds,
+            l.routing_queries,
+            l.engine.rounds
         );
     }
 
@@ -59,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nCONGEST/CLIQUE round ratio: {:.1}x — the polylog gap of Theorem 2",
-        congest_out.rounds as f64 / clique_out.rounds.max(1) as f64
+        congest_out.total_rounds() as f64 / clique_out.rounds.max(1) as f64
     );
     Ok(())
 }

@@ -37,8 +37,8 @@
 //! assert!(report.is_partition && report.edge_budget_ok());
 //!
 //! // Triangle enumeration (Theorem 2) agrees with ground truth.
-//! let listed = triangle::congest_enumerate(&g, &Default::default());
-//! assert_eq!(listed.triangles.len() as u64, triangle::count_triangles(&g));
+//! let listed = enumerate_via_decomposition(&g, &PipelineParams::default());
+//! assert_eq!(listed.count(), triangle::count_triangles(&g));
 //! # Ok::<(), graph::GraphError>(())
 //! ```
 
@@ -65,9 +65,8 @@ pub mod prelude {
     };
     pub use storage::{convert_edge_list, write_graph, ConvertOptions, CsrFile, CsrView};
     pub use triangle::{
-        clique_enumerate, congest_enumerate, count_triangles, enumerate_triangles,
-        enumerate_via_decomposition, enumerate_with_assignment, Packing, PipelineParams, Triangle,
-        TriangleConfig, TriangleReport,
+        clique_enumerate, count_triangles, enumerate_triangles, enumerate_via_decomposition,
+        enumerate_with_assignment, PipelineParams, Triangle, TriangleReport,
     };
     pub use triangle::{Answer, Emit, Query, QueryEngine, QueryOutcome, ServeReport, ServiceError};
     pub use triangle::{BatchReport, ChurnPolicy, DeltaLedger, EdgeOp, RebuildReport};

@@ -1,12 +1,11 @@
-//! The packed adjacency exchange's equivalence contract (DESIGN.md §10):
-//! packing several delta-varint ids into each `O(log n)`-bit message
-//! changes **only** engine traffic shape (rounds/messages/bits), never
-//! the output — triangle list, witness sample, and the per-cluster
-//! routing charges must be bit-for-bit identical to the unpacked
-//! one-id-per-round baseline, under forced 4-thread pools. Plus the
-//! round-complexity regression guard: measured exchange rounds on a
-//! star-heavy fixture must stay within `⌈Δ / pack_factor⌉ + O(1)`, so a
-//! future regression to one-id-per-round fails loudly.
+//! The packed adjacency exchange's contract (DESIGN.md §10): packing
+//! several delta-varint ids into each `O(log n)`-bit message must list
+//! exactly the brute-force triangle set under forced 4-thread pools, and
+//! stepping the packed program sequentially or in parallel must be
+//! bit-identical down to engine traffic. Plus the round-complexity
+//! regression guard: measured exchange rounds on a star-heavy fixture
+//! must stay within `⌈Δ / pack_factor⌉ + O(1)`, so a regression to
+//! one-id-per-round fails loudly.
 
 use expander::SchedulerPolicy;
 use expander_repro::prelude::*;
@@ -20,113 +19,62 @@ fn force_threads() {
     FORCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
 }
 
-fn params(packing: Packing, seed: u64) -> PipelineParams {
+fn params(seed: u64) -> PipelineParams {
     PipelineParams {
         seed,
-        packing,
         recursion_workers: 4,
         ..Default::default()
     }
 }
 
-/// Everything that must not depend on the wire format: the listing, the
-/// witness sample, the residual charge, and the per-level analytic
-/// charges (routing queries/words/rounds, decomposition rounds, cluster
-/// counts). Engine rounds/messages/bits are intentionally excluded —
-/// changing those is the whole point of packing.
-type Fingerprint = (
-    Vec<Triangle>,
-    Vec<Triangle>,
-    u64,
-    Vec<(u64, u64, u64, u64, u64, usize, usize)>,
-);
-
-fn fingerprint(r: &TriangleReport) -> Fingerprint {
-    (
-        r.triangles.clone(),
-        r.witnesses.clone(),
-        r.residual_rounds,
-        r.levels
-            .iter()
-            .map(|l| {
-                (
-                    l.routing_queries,
-                    l.routing_words,
-                    l.routing_rounds,
-                    l.routing_build_rounds,
-                    l.decomposition_rounds,
-                    l.clusters,
-                    l.triangles_found,
-                )
-            })
-            .collect(),
-    )
-}
-
-fn assert_packed_matches_unpacked(g: &Graph, seed: u64) {
-    let packed = enumerate_via_decomposition(g, &params(Packing::Packed, seed));
-    let unpacked = enumerate_via_decomposition(g, &params(Packing::Unpacked, seed));
+fn assert_packed_is_complete(g: &Graph, seed: u64) {
+    let packed = enumerate_via_decomposition(g, &params(seed));
     assert_eq!(
-        fingerprint(&packed),
-        fingerprint(&unpacked),
-        "packed and unpacked exchange diverged (n = {}, m = {})",
+        packed.triangles,
+        enumerate_triangles_naive(g),
+        "packed exchange lost or invented a triangle (n = {}, m = {})",
         g.n(),
         g.m()
     );
-    assert_eq!(packed.triangles, enumerate_triangles_naive(g));
-    // Packing never *increases* engine rounds: the greedy encoder ships
-    // at least one id per message.
-    for (p, u) in packed.levels.iter().zip(&unpacked.levels) {
-        assert!(
-            p.engine.rounds <= u.engine.rounds,
-            "packed {} > unpacked {} exchange rounds",
-            p.engine.rounds,
-            u.engine.rounds
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn packed_equals_unpacked_on_gnp(
+    fn packed_is_complete_on_gnp(
         n in 8usize..36, p in 0.08f64..0.5, seed in any::<u64>()
     ) {
         force_threads();
         let g = gen::gnp(n, p, seed).unwrap();
-        assert_packed_matches_unpacked(&g, seed);
+        assert_packed_is_complete(&g, seed);
     }
 
     #[test]
-    fn packed_equals_unpacked_on_ring_of_cliques(
+    fn packed_is_complete_on_ring_of_cliques(
         count in 3usize..7, size in 3usize..7, seed in any::<u64>()
     ) {
         force_threads();
         let (g, _) = gen::ring_of_cliques(count, size).unwrap();
-        assert_packed_matches_unpacked(&g, seed);
+        assert_packed_is_complete(&g, seed);
     }
 
     #[test]
-    fn packed_equals_unpacked_on_planted_partition(
+    fn packed_is_complete_on_planted_partition(
         half in 8usize..20, seed in any::<u64>()
     ) {
         force_threads();
         let pp = gen::planted_partition(&[half, half], 0.5, 0.08, seed).unwrap();
-        assert_packed_matches_unpacked(&pp.graph, seed);
+        assert_packed_is_complete(&pp.graph, seed);
         // The planted-assignment entry point (the scale tier's path)
-        // must agree too, including across exchange wire formats.
+        // must be complete too.
         let asg = expander::ClusterAssignment::from_parts(
             &pp.graph,
             &pp.blocks,
             0.1,
             &SchedulerPolicy::sequential(),
         );
-        let packed =
-            enumerate_with_assignment(&pp.graph, &asg, &params(Packing::Packed, seed));
-        let unpacked =
-            enumerate_with_assignment(&pp.graph, &asg, &params(Packing::Unpacked, seed));
-        prop_assert_eq!(fingerprint(&packed), fingerprint(&unpacked));
+        let packed = enumerate_with_assignment(&pp.graph, &asg, &params(seed));
         prop_assert_eq!(&packed.triangles, &enumerate_triangles_naive(&pp.graph));
     }
 
@@ -136,13 +84,13 @@ proptest! {
     ) {
         force_threads();
         let g = gen::gnp(n, 0.3, seed).unwrap();
-        let par = enumerate_via_decomposition(&g, &params(Packing::Packed, seed));
+        let par = enumerate_via_decomposition(&g, &params(seed));
         let seq = enumerate_via_decomposition(
             &g,
             &PipelineParams {
                 exec: ExecMode::Sequential,
                 recursion_exec: ExecMode::Sequential,
-                ..params(Packing::Packed, seed)
+                ..params(seed)
             },
         );
         // Sequential vs parallel stepping of the *packed* program is
@@ -156,7 +104,7 @@ proptest! {
 }
 
 #[test]
-fn packed_equals_unpacked_on_degenerate_graphs() {
+fn packed_is_complete_on_degenerate_graphs() {
     force_threads();
     for g in [
         Graph::from_edges(1, []).unwrap(),
@@ -168,7 +116,7 @@ fn packed_equals_unpacked_on_degenerate_graphs() {
         Graph::from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]).unwrap(),
         gen::complete(9).unwrap(),
     ] {
-        assert_packed_matches_unpacked(&g, 7);
+        assert_packed_is_complete(&g, 7);
     }
 }
 
@@ -206,9 +154,7 @@ fn exchange_rounds_beat_the_packing_bound_on_a_star_heavy_fixture() {
     let pack_factor = congest::packed::min_ids_per_message(budget_bytes);
     assert!(pack_factor >= 2, "budget must fit several ids");
 
-    let packed = enumerate_with_assignment(&g, &asg, &params(Packing::Packed, 3));
-    let unpacked = enumerate_with_assignment(&g, &asg, &params(Packing::Unpacked, 3));
-    assert_eq!(packed.triangles, unpacked.triangles);
+    let packed = enumerate_with_assignment(&g, &asg, &params(3));
     assert_eq!(
         packed.triangles.len(),
         n - 1,
@@ -216,7 +162,6 @@ fn exchange_rounds_beat_the_packing_bound_on_a_star_heavy_fixture() {
     );
 
     let packed_rounds = packed.levels[0].engine.rounds;
-    let unpacked_rounds = unpacked.levels[0].engine.rounds;
     let bound = delta.div_ceil(pack_factor) + 2;
     assert!(
         packed_rounds <= bound,
@@ -224,11 +169,4 @@ fn exchange_rounds_beat_the_packing_bound_on_a_star_heavy_fixture() {
          (Δ = {delta}, pack_factor = {pack_factor}) — did the exchange regress toward \
          one id per round?"
     );
-    // And the ablation really is the old shape: ≥ Δ rounds.
-    assert!(
-        unpacked_rounds >= delta,
-        "unpacked exchange took {unpacked_rounds} < Δ = {delta} rounds"
-    );
-    // Packing must also move fewer messages (one per ~pack_factor ids).
-    assert!(packed.levels[0].engine.messages * 2 <= unpacked.levels[0].engine.messages);
 }

@@ -112,7 +112,7 @@ proptest! {
     ) {
         let g = gen::gnp(n, 0.35, seed).unwrap();
         let truth = enumerate_triangles(&g);
-        let congest = congest_enumerate(&g, &TriangleConfig::default());
+        let congest = enumerate_via_decomposition(&g, &PipelineParams::default());
         prop_assert_eq!(&congest.triangles, &truth);
         let clique = clique_enumerate(&g);
         prop_assert_eq!(&clique.triangles, &truth);

@@ -15,6 +15,7 @@
 use expander_repro::prelude::*;
 use server::client::{Client, ResponseBody};
 use server::server::{serve_engine, ServerConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use triangle::{DeltaLedger, EdgeOp};
@@ -160,29 +161,55 @@ fn concurrent_stream_across_many_swaps_never_mismatches() {
     ]);
     let engine1 = ledger.rebuild(&params).engine;
 
+    // This test is about generation exactness, not backpressure (typed
+    // `Busy` refusals are pinned in the server crate's own tests), and a
+    // `Busy` that outlives its retries would fail the oracle comparison
+    // for an unrelated reason. So the server can hold everything the
+    // client pipelines: one executor slot per outstanding query (a batch
+    // holds at least one), and a work queue of `batch_max` × that.
+    const WINDOW: usize = 16;
     let config = ServerConfig {
         batch_max: 4,
         flush_interval: Duration::from_micros(100),
+        max_inflight_batches: WINDOW,
         ..Default::default()
     };
     let handle = serve_engine(Arc::clone(&engine0), &config).unwrap();
     let addr = handle.addr();
 
     const SWAPS: u64 = 6;
-    let queries: Vec<Query> = probe_stream(g0.n()).into_iter().cycle().take(400).collect();
-    let worker_queries = queries.clone();
+    let lap: Vec<Query> = probe_stream(g0.n()).into_iter().cycle().take(400).collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let (worker_lap, worker_stop) = (lap.clone(), Arc::clone(&stop));
     let client_thread = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        client.run_pipelined(&worker_queries, 32, 16).unwrap()
+        // Keep the pipeline busy, lap after lap, until every swap is in.
+        let mut responses = Vec::new();
+        while !worker_stop.load(Ordering::SeqCst) {
+            responses.extend(client.run_pipelined(&worker_lap, WINDOW, 16).unwrap());
+        }
+        responses
     });
+    // Swaps are paced by the stream, not by the clock: each waits for two
+    // windows of fresh answers. At most one window was outstanding at the
+    // previous swap, so at least one window of them was read, batched and
+    // snapshotted under the current generation — every generation
+    // provably serves part of the stream, whatever the thread timing.
+    let await_two_windows = || {
+        let seen = handle.stats().answered;
+        while handle.stats().answered < seen + 2 * WINDOW as u64 {
+            assert!(!client_thread.is_finished(), "the client stopped early");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    };
 
     // Generation g serves engine0 when g is odd, engine1 when even.
     let mut expected_generation = 1;
     for _ in 0..SWAPS {
-        std::thread::sleep(Duration::from_millis(3));
+        await_two_windows();
         let next = if expected_generation % 2 == 1 {
             Arc::clone(&engine1)
         } else {
@@ -208,10 +235,12 @@ fn concurrent_stream_across_many_swaps_never_mismatches() {
             (generation, engine)
         })
         .collect();
+    await_two_windows();
+    stop.store(true, Ordering::SeqCst);
     let responses = client_thread.join().unwrap();
-    assert_eq!(responses.len(), queries.len());
+    assert_eq!(responses.len() % lap.len(), 0, "whole laps only");
     let mut by_generation = vec![0u64; 2 + SWAPS as usize];
-    for (resp, &q) in responses.iter().zip(&queries) {
+    for (resp, &q) in responses.iter().zip(lap.iter().cycle()) {
         assert!(
             (1..=1 + SWAPS).contains(&resp.generation),
             "generation {} was never armed",
@@ -220,10 +249,13 @@ fn concurrent_stream_across_many_swaps_never_mismatches() {
         by_generation[resp.generation as usize] += 1;
         assert_matches_oracle(resp, q, &oracles);
     }
-    // The stream genuinely crossed swap boundaries: more than one
-    // generation answered.
+    // The stream genuinely crossed every swap boundary.
     let active = by_generation.iter().filter(|&&c| c > 0).count();
-    assert!(active >= 2, "stream should span at least two generations");
+    assert_eq!(
+        active,
+        1 + SWAPS as usize,
+        "every generation should answer part of the stream: {by_generation:?}"
+    );
 
     handle.shutdown();
 }

@@ -113,7 +113,7 @@ fn audit(g: &Graph, engine: &QueryEngine, raw_stream: &[u64]) -> Result<(), Test
     // per-query reference path, the auto-chunked default, and an
     // awkward explicit chunk size all agree bit-for-bit — while the
     // chunked paths actually batch (fewer scheduler jobs than queries).
-    let unbatched = engine.serve_unbatched(&queries, &SchedulerPolicy::with_workers(4));
+    let unbatched = engine.serve_chunked(&queries, &SchedulerPolicy::with_workers(4), 1);
     prop_assert!(
         seq.answers_match(&unbatched),
         "per-query reference answers differ from sequential replay"

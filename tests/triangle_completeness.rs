@@ -26,7 +26,7 @@ fn families() -> Vec<(&'static str, Graph)> {
 fn congest_enumeration_is_complete() {
     for (name, g) in families() {
         let truth = enumerate_triangles(&g);
-        let out = congest_enumerate(&g, &TriangleConfig::default());
+        let out = enumerate_via_decomposition(&g, &PipelineParams::default());
         assert_eq!(out.triangles, truth, "{name}: CONGEST listing incomplete");
     }
 }
@@ -50,14 +50,14 @@ fn congest_handles_adversarial_cross_cluster_triangles() {
     edges.extend([(2, 8), (8, 13), (2, 13), (7, 18), (18, 23), (7, 23)]);
     let g = Graph::from_edges(30, edges).unwrap();
     let truth = enumerate_triangles(&g);
-    let out = congest_enumerate(&g, &TriangleConfig::default());
+    let out = enumerate_via_decomposition(&g, &PipelineParams::default());
     assert_eq!(out.triangles, truth);
 }
 
 #[test]
 fn recursion_terminates_within_log_levels() {
     let g = gen::gnp(80, 0.2, 9).unwrap();
-    let out = congest_enumerate(&g, &TriangleConfig::default());
+    let out = enumerate_via_decomposition(&g, &PipelineParams::default());
     // ε ≤ 1/6 per level ⇒ levels ≤ log_6(m) + 1.
     let bound = (g.m() as f64).log(6.0).ceil() as usize + 1;
     assert!(
@@ -71,7 +71,7 @@ fn recursion_terminates_within_log_levels() {
 fn both_models_agree_with_each_other() {
     for seed in 0..3 {
         let g = gen::gnp(50, 0.25, seed).unwrap();
-        let a = congest_enumerate(&g, &TriangleConfig::default());
+        let a = enumerate_via_decomposition(&g, &PipelineParams::default());
         let b = clique_enumerate(&g);
         assert_eq!(a.triangles, b.triangles, "seed {seed}");
     }
