@@ -17,14 +17,13 @@
 //!    (charges excluded — reused hierarchies keep their original seeds).
 //!
 //! `--min-speedup X` gates every batch's incremental-vs-recount speedup
-//! (CI's `churn-smoke` passes 5). `--json <path>` appends
-//! `{"name": ..., "median_s": ...}` lines in the `bench_gate collect`
-//! format. Exit is non-zero on any count/answer mismatch or a blown
-//! speedup floor.
+//! (CI's `churn-smoke` passes 5). `--json <path>` appends one
+//! `{"name": ..., "median_s": ...}` line per measurement
+//! (`bench_suite::emit_json`). Exit is non-zero on any count/answer
+//! mismatch or a blown speedup floor.
 
-use bench_suite::{churn_ops, scale_planted_partition, tiny_or, Table};
+use bench_suite::{churn_ops, edge_label, emit_json, scale_planted_partition, tiny_or, Table};
 use expander::{ClusterAssignment, SchedulerPolicy};
-use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,29 +90,6 @@ fn parse_args() -> Result<Args, String> {
         args.edges = args.edges.min(20_000);
     }
     Ok(args)
-}
-
-fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
-    let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("exp_churn: cannot append to {path}: {e}");
-    }
-}
-
-fn edge_label(edges: usize) -> String {
-    if edges % 1_000_000 == 0 && edges > 0 {
-        format!("{}m", edges / 1_000_000)
-    } else if edges % 1_000 == 0 && edges > 0 {
-        format!("{}k", edges / 1_000)
-    } else {
-        edges.to_string()
-    }
 }
 
 fn main() -> ExitCode {

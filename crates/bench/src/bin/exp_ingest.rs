@@ -22,14 +22,13 @@
 //!    engine to answer a fixed query stream bit-identically (charges
 //!    included); `--restore-budget R` gates `restore_wall ≤ R·build_wall`.
 //!
-//! `--json <path>` appends `{"name": ..., "median_s": ...}` lines in the
-//! `bench_gate collect` format (CI's `ingest-smoke` artifact);
+//! `--json <path>` appends one `{"name": ..., "median_s": ...}` line per
+//! measurement (`bench_suite::emit_json`; CI's `ingest-smoke` artifact);
 //! `--wall-budget-s B` fails the run when the whole flow exceeds `B`
 //! seconds. Exit is non-zero on any mismatch or blown budget.
 
-use bench_suite::{serve_query_stream, tiny_or, Table};
+use bench_suite::{emit_json, serve_query_stream, tiny_or, Table};
 use expander::SchedulerPolicy;
-use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -111,19 +110,6 @@ fn parse_args() -> Result<Args, String> {
     }
     args.queries = tiny_or(args.queries.min(500), args.queries);
     Ok(args)
-}
-
-fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
-    let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("exp_ingest: cannot append to {path}: {e}");
-    }
 }
 
 fn main() -> ExitCode {

@@ -25,9 +25,9 @@
 //! counter beyond that — logged loudly, never silently skipped.
 //!
 //! `--json <path>` appends one `{"name": ..., "median_s": ...}` line per
-//! measurement — the format `bench_gate collect` already consumes, so
-//! CI's `scale-smoke` job uploads the sweep as a bench artifact. Next to
-//! each run's total wall the sweep emits the **cluster-phase split**
+//! measurement (`bench_suite::emit_json`); CI's `scale-smoke` job uploads
+//! the sweep as an artifact. Next to each run's total wall the sweep
+//! emits the **cluster-phase split**
 //! (`.../decompose`, `.../clusters.dlp`, `.../clusters.exchange`,
 //! `.../clusters.join`, `.../merge` entries, mirrored in the table's
 //! `dlp_s`/`exch_s`/`join_s` columns), so a phase-level regression is
@@ -39,10 +39,9 @@
 //! `--tiny` (≈20k) for capped runs, or `--edges 10000000` for the
 //! nightly ten-million-edge ceiling tier.
 
-use bench_suite::{scale_tier, Table};
+use bench_suite::{edge_label, emit_json, scale_tier, Table};
 use congest::ExecMode;
 use expander::{ClusterAssignment, SchedulerPolicy};
-use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 use triangle::pipeline::{enumerate_via_decomposition, enumerate_with_assignment, PipelineParams};
@@ -154,30 +153,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("need at least one thread count and one mode".to_string());
     }
     Ok(args)
-}
-
-fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
-    let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("exp_scale: cannot append to {path}: {e}");
-    }
-}
-
-/// "1m", "100k", "20k" — compact edge-target label for bench names.
-fn edge_label(edges: usize) -> String {
-    if edges % 1_000_000 == 0 && edges > 0 {
-        format!("{}m", edges / 1_000_000)
-    } else if edges % 1_000 == 0 && edges > 0 {
-        format!("{}k", edges / 1_000)
-    } else {
-        edges.to_string()
-    }
 }
 
 fn main() -> ExitCode {
@@ -395,7 +370,7 @@ fn main() -> ExitCode {
                     &format!("scale/{label}/{}/{combo}", w.name),
                     wall.as_secs_f64(),
                 );
-                // Per-phase walls as their own bench entries, so the
+                // Per-phase walls as their own jsonl entries, so the
                 // cluster split is attributable from the jsonl alone.
                 for (phase, dur) in [
                     ("build_s", wall_build),

@@ -16,14 +16,13 @@
 //! 5. report throughput (queries/s), p50/p99 latency, and the heaviest
 //!    per-query routing load against the paper's `n^{1/3}·log²n` budget.
 //!
-//! `--json <path>` appends `{"name": ..., "median_s": ...}` lines in the
-//! `bench_gate collect` format; CI's `serve-smoke` job uploads them as the
-//! latency artifact. `--p99-budget-ms B` fails the run on a p99 blowout —
-//! the latency gate. Exit is non-zero on any answer mismatch.
+//! `--json <path>` appends one `{"name": ..., "median_s": ...}` line per
+//! measurement (`bench_suite::emit_json`); CI's `serve-smoke` job uploads
+//! them as the latency artifact. `--p99-budget-ms B` fails the run on a
+//! p99 blowout — the latency gate. Exit is non-zero on any answer mismatch.
 
-use bench_suite::{scale_power_law, serve_query_stream, tiny_or, Table};
+use bench_suite::{edge_label, emit_json, scale_power_law, serve_query_stream, tiny_or, Table};
 use expander::SchedulerPolicy;
-use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;
 use triangle::pipeline::PipelineParams;
@@ -102,29 +101,6 @@ fn parse_args() -> Result<Args, String> {
         args.queries = args.queries.min(2_000);
     }
     Ok(args)
-}
-
-fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
-    let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("exp_serve: cannot append to {path}: {e}");
-    }
-}
-
-fn edge_label(edges: usize) -> String {
-    if edges % 1_000_000 == 0 && edges > 0 {
-        format!("{}m", edges / 1_000_000)
-    } else if edges % 1_000 == 0 && edges > 0 {
-        format!("{}k", edges / 1_000)
-    } else {
-        edges.to_string()
-    }
 }
 
 fn main() -> ExitCode {

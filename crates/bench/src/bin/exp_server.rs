@@ -20,14 +20,14 @@
 //!    reload mid-stream; the streaming client must see zero mismatches
 //!    and only the two adjacent generations on its answers.
 //!
-//! `--json <path>` appends `{"name": ..., "median_s": ...}` lines in the
-//! `bench_gate collect` format; CI's `server-smoke` job uploads them.
-//! `--p99-budget-ms B` fails the run on a p99 blowout. Exit is non-zero
-//! on any answer mismatch, protocol surprise, or generation anomaly.
+//! `--json <path>` appends one `{"name": ..., "median_s": ...}` line per
+//! measurement (`bench_suite::emit_json`); CI's `server-smoke` job uploads
+//! them. `--p99-budget-ms B` fails the run on a p99 blowout. Exit is
+//! non-zero on any answer mismatch, protocol surprise, or generation
+//! anomaly.
 
-use bench_suite::{scale_power_law, serve_query_stream, tiny_or, Table};
+use bench_suite::{edge_label, emit_json, scale_power_law, serve_query_stream, tiny_or, Table};
 use server::{Client, ClientError, ResponseBody, ServerConfig, ServerHandle, WireError};
-use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,29 +112,6 @@ fn parse_args() -> Result<Args, String> {
         args.queries = args.queries.min(2_000);
     }
     Ok(args)
-}
-
-fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
-    let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()));
-    if let Err(e) = written {
-        eprintln!("exp_server: cannot append to {path}: {e}");
-    }
-}
-
-fn edge_label(edges: usize) -> String {
-    if edges % 1_000_000 == 0 && edges > 0 {
-        format!("{}m", edges / 1_000_000)
-    } else if edges % 1_000 == 0 && edges > 0 {
-        format!("{}k", edges / 1_000)
-    } else {
-        edges.to_string()
-    }
 }
 
 /// `true` when the wire response agrees with the in-process oracle for

@@ -1,6 +1,6 @@
 //! The serve tier: deterministic query streams for the triangle-query
-//! service ([`triangle::service::QueryEngine`]) plus the summary shape
-//! `exp_serve` and the `serve` criterion bench share.
+//! service ([`triangle::service::QueryEngine`]), shared by `exp_serve`,
+//! `exp_server` and `exp_ingest`.
 //!
 //! Streams are a pure function of `(graph, count, seed)` so every
 //! consumer — the latency sweep, the CI smoke job, the equivalence

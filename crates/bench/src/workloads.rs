@@ -89,7 +89,7 @@ pub fn mixing_family() -> Vec<(String, Graph, Option<f64>)> {
 /// One workload of the large-graph tier.
 #[derive(Debug, Clone)]
 pub struct ScaleWorkload {
-    /// Short family label for tables and bench names.
+    /// Short family label for tables and `--json` names.
     pub name: String,
     /// The graph, sized to roughly the requested edge target.
     pub graph: Graph,

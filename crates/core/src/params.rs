@@ -29,8 +29,8 @@
 //! (`t₀ ∝ log m/φ²`, `ε_b ∝ φ/(t₀·2^b·log m)`, `φ_i = h⁻¹(φ_{i−1})`, …)
 //! but replaces the worst-case safety constants with small ones, and caps
 //! the iteration counts that the w.h.p. analysis inflates. Every experiment
-//! in EXPERIMENTS.md reports which mode produced it; the faithful formulas
-//! themselves are unit-tested below.
+//! in the OPERATIONS.md experiment table reports which mode produced it;
+//! the faithful formulas themselves are unit-tested below.
 
 /// Which constant calibration to use. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
