@@ -14,22 +14,32 @@
 //!    compare it against a from-scratch [`QueryEngine::build`] on the
 //!    final graph: cluster-artifact reuse is reported, and the two
 //!    engines' answers must be bit-identical over a vertex probe sweep
-//!    (charges excluded — reused hierarchies keep their original seeds).
+//!    (charges excluded — reused hierarchies keep their original seeds),
+//! 4. with `--churn-seeds 1,2,3,4`, the **rebuild sweep** (OPERATIONS.md):
+//!    a measured build of the power-law scale instance, then per churn
+//!    seed a fresh ledger and two rebuild cycles — `edges / 500` ops of
+//!    [`bench_suite::uniform_churn`] and their inverse — each reported
+//!    with wall and checked / broken / reused / carried / split. Fails on
+//!    `broken > 0` in a cycle with no dirty cluster severed.
 //!
 //! `--min-speedup X` gates every batch's incremental-vs-recount speedup
 //! (CI's `churn-smoke` passes 5). `--json <path>` appends one
 //! `{"name": ..., "median_s": ...}` line per measurement
-//! (`bench_suite::emit_json`). Exit is non-zero on any count/answer
-//! mismatch or a blown speedup floor.
+//! (`bench_suite::emit_json`; rebuild lines carry their counts). Exit is
+//! non-zero on any count/answer mismatch or failed gate.
 
-use bench_suite::{churn_ops, edge_label, emit_json, scale_planted_partition, tiny_or, Table};
+use bench_suite::{
+    churn_ops, edge_label, emit_json, emit_json_counts, scale_planted_partition, scale_power_law,
+    tiny_or, uniform_churn, Table,
+};
+use expander::verify::{certify_threshold, Rung};
 use expander::{ClusterAssignment, SchedulerPolicy};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 use triangle::pipeline::PipelineParams;
 use triangle::service::{Emit, Query, QueryEngine};
-use triangle::{count_triangles, DeltaLedger};
+use triangle::{count_triangles, DeltaLedger, EdgeOp, RebuildReport};
 
 struct Args {
     edges: usize,
@@ -37,6 +47,17 @@ struct Args {
     seed: u64,
     json: Option<String>,
     min_speedup: Option<f64>,
+    churn_seeds: Vec<u64>,
+}
+
+/// A comma-separated list of numbers.
+fn list<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+    flag: &str,
+    raw: &str,
+) -> Result<Vec<T>, String> {
+    (raw.split(','))
+        .map(|b| b.trim().parse().map_err(|e| format!("bad {flag}: {e}")))
+        .collect()
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -46,6 +67,7 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         json: None,
         min_speedup: None,
+        churn_seeds: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -56,16 +78,7 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad --edges: {e}"))?
             }
-            "--batches" => {
-                args.batches = value("--batches")?
-                    .split(',')
-                    .map(|b| {
-                        b.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("bad --batches: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
+            "--batches" => args.batches = list("--batches", &value("--batches")?)?,
             "--seed" => {
                 args.seed = value("--seed")?
                     .parse()
@@ -79,6 +92,7 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("bad --min-speedup: {e}"))?,
                 )
             }
+            "--churn-seeds" => args.churn_seeds = list("--churn-seeds", &value("--churn-seeds")?)?,
             "--tiny" => args.edges = 20_000,
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -99,7 +113,8 @@ fn main() -> ExitCode {
             eprintln!("exp_churn: {e}");
             eprintln!(
                 "usage: exp_churn [--edges N] [--batches 16,128,1024] [--seed S] \
-                 [--json out.jsonl] [--min-speedup X] [--tiny]"
+                 [--json out.jsonl] [--min-speedup X] [--churn-seeds 1,2,3,4] \
+                 [--tiny]"
             );
             return ExitCode::from(2);
         }
@@ -241,19 +256,23 @@ fn main() -> ExitCode {
     let scratch_wall = scratch_start.elapsed();
     let rebuild_speedup = scratch_wall.as_secs_f64() / rebuild_wall.as_secs_f64().max(1e-9);
     eprintln!(
-        "rebuild: {:.2?} ({} certified, {} broken, {} reused by pointer, {} refrozen) vs \
-         from-scratch build {:.2?} — {rebuild_speedup:.1}x",
+        "rebuild: {:.2?} ({} certified, {} broken, {} reused by pointer, {} refrozen of which \
+         {} carried their hierarchy, {} split off) vs from-scratch build {:.2?} — \
+         {rebuild_speedup:.1}x",
         rebuild_wall,
         rebuild.checked,
         rebuild.broken,
         rebuild.reused,
         rebuild.rebuilt,
+        rebuild.carried,
+        rebuild.split,
         scratch_wall,
     );
-    emit_json(
+    emit_json_counts(
         &args.json,
         &format!("churn/{label}/rebuild"),
         rebuild_wall.as_secs_f64(),
+        &rebuild_counts(&rebuild),
     );
     emit_json(
         &args.json,
@@ -305,10 +324,74 @@ fn main() -> ExitCode {
     print!("{}", table.to_text());
     println!();
     print!("{}", table.to_csv());
+    if !args.churn_seeds.is_empty() {
+        failures += rebuild_sweep(&args, &label);
+    }
     if failures > 0 {
         eprintln!("exp_churn: {failures} failures");
         return ExitCode::FAILURE;
     }
     eprintln!("exp_churn: incremental maintenance exact; refrozen answers identical");
     ExitCode::SUCCESS
+}
+
+fn rebuild_counts(r: &RebuildReport) -> [(&'static str, usize); 6] {
+    [
+        ("checked", r.checked),
+        ("broken", r.broken),
+        ("reused", r.reused),
+        ("rebuilt", r.rebuilt),
+        ("carried", r.carried),
+        ("split", r.split),
+    ]
+}
+
+/// Clusters touched by `ops` that the ledger's live graph has severed.
+fn severed_dirty_clusters(ledger: &DeltaLedger, ops: &[EdgeOp]) -> usize {
+    let assignment = ledger.engine().assignment();
+    let ends = |&(EdgeOp::Insert(u, v) | EdgeOp::Delete(u, v)): &EdgeOp| [u, v];
+    let dirty: std::collections::BTreeSet<u32> = (ops.iter().flat_map(ends))
+        .map(|x| assignment.cluster_of[x as usize])
+        .collect();
+    let rung = |c| certify_threshold(ledger.working(), &assignment.clusters[c as usize], 0.0).1;
+    (dirty.into_iter())
+        .filter(|&c| matches!(rung(c), Rung::Severed(_)))
+        .count()
+}
+
+/// Leg 4 of the module docs. Returns the number of failed gates.
+fn rebuild_sweep(args: &Args, label: &str) -> usize {
+    let g = scale_power_law(args.edges, args.seed);
+    let params = PipelineParams {
+        seed: args.seed,
+        ..Default::default()
+    };
+    let engine = Arc::new(QueryEngine::build(&g, &params));
+    let clusters = engine.build_report().clusters;
+    eprintln!(
+        "rebuild sweep: power_law m = {}, {clusters} clusters",
+        g.m()
+    );
+    let mut failures = 0usize;
+    for &seed in &args.churn_seeds {
+        let mut ledger = DeltaLedger::new(&g, Arc::clone(&engine));
+        let (batch, inverse) = uniform_churn(&g, seed, (args.edges / 500).max(2));
+        for (cycle, ops) in [batch, inverse].iter().enumerate() {
+            ledger.apply(ops);
+            let severed = severed_dirty_clusters(&ledger, ops);
+            let r = ledger.rebuild(&params);
+            let name = format!("churn/{label}/sweep/s{seed}/c{cycle}");
+            let counts = rebuild_counts(&r);
+            emit_json_counts(&args.json, &name, r.wall.as_secs_f64(), &counts);
+            eprintln!(
+                "  {name}: {:.2?} {counts:?}, {severed} dirty clusters severed",
+                r.wall
+            );
+            if severed == 0 && r.broken > 0 {
+                eprintln!("exp_churn: FALSE BREAK at {name}: every dirty cluster is connected");
+                failures += 1;
+            }
+        }
+    }
+    failures
 }

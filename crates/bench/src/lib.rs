@@ -38,9 +38,19 @@ pub fn tiny_or<T>(tiny: T, full: T) -> T {
 /// file is a by-product and the exit code belongs to the correctness
 /// checks.
 pub fn emit_json(path: &Option<String>, name: &str, seconds: f64) {
+    emit_json_counts(path, name, seconds, &[]);
+}
+
+/// [`emit_json`] with named integer counts after `median_s` on the same
+/// line (`{"name": …, "median_s": …, "checked": 16, …}`).
+pub fn emit_json_counts(path: &Option<String>, name: &str, seconds: f64, counts: &[(&str, usize)]) {
     use std::io::Write;
     let Some(path) = path else { return };
-    let line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}}}\n");
+    let mut line = format!("{{\"name\": \"{name}\", \"median_s\": {seconds:e}");
+    for (key, count) in counts {
+        line.push_str(&format!(", \"{key}\": {count}"));
+    }
+    line.push_str("}\n");
     let written = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -75,9 +85,21 @@ mod tests {
         let path = Some(file.to_string_lossy().into_owned());
         emit_json(&path, "serve/20k/build", 0.25);
         emit_json(&path, "serve/20k/freeze", 3e-4);
+        emit_json_counts(
+            &path,
+            "churn/1m/sweep/s4/c0",
+            0.25,
+            &[("broken", 1), ("split", 3)],
+        );
 
-        let text = std::fs::read_to_string(&file).expect("two calls created the file");
-        let lines: Vec<&str> = text.lines().collect();
+        let text = std::fs::read_to_string(&file).expect("three calls created the file");
+        let mut lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines.pop(),
+            Some(
+                r#"{"name": "churn/1m/sweep/s4/c0", "median_s": 2.5e-1, "broken": 1, "split": 3}"#
+            )
+        );
         assert_eq!(lines.len(), 2, "{text:?}");
         for (line, name) in lines.iter().zip(["serve/20k/build", "serve/20k/freeze"]) {
             let (head, value) = line

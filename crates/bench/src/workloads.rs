@@ -166,6 +166,14 @@ pub fn scale_tier(target_edges: usize, seed: u64) -> Vec<ScaleWorkload> {
     ]
 }
 
+/// One SplitMix64 step: the stream behind both churn generators below.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A deterministic churn batch for the dynamic-graph tier: ~half
 /// deletions of real edges (sampled from the base graph), ~half
 /// insertions of fresh pairs, with a sprinkle of the regression-prone
@@ -175,13 +183,7 @@ pub fn churn_ops(g: &Graph, seed: u64, len: usize) -> Vec<EdgeOp> {
     let n = g.n().max(1) as u64;
     let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
     let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let mut ops = Vec::with_capacity(len);
     while ops.len() < len {
         let u = (next() % n) as VertexId;
@@ -203,6 +205,43 @@ pub fn churn_ops(g: &Graph, seed: u64, len: usize) -> Vec<EdgeOp> {
     }
     ops.truncate(len);
     ops
+}
+
+/// `lifecycle_bench`'s sparse-uniform churn, stream and all (its SplitMix64
+/// `fork(seed, 5)`, multiply-shift `below`): `ops / 2` deletes of distinct
+/// uniform live edges and the rest inserts of distinct uniform absent
+/// pairs, shuffled, so every op applies in any order — seed 1 on
+/// `scale_power_law(1_000_000, 1)` is the benchmark's pinned first rebuild
+/// cycle. Returns the batch and the batch that undoes it.
+pub fn uniform_churn(g: &Graph, seed: u64, ops: usize) -> (Vec<EdgeOp>, Vec<EdgeOp>) {
+    let mut state = splitmix64(&mut (seed ^ 5u64.wrapping_mul(0xA076_1D64_78BD_642F)));
+    let mut below = move |n: usize| ((splitmix64(&mut state) as u128 * n as u128) >> 64) as usize;
+    let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    let deletes = (ops / 2).min(edges.len());
+    let mut batch = Vec::with_capacity(ops);
+    let mut picked = std::collections::HashSet::new();
+    while picked.len() < deletes {
+        let i = below(edges.len());
+        if picked.insert(i) {
+            batch.push(EdgeOp::Delete(edges[i].0, edges[i].1));
+        }
+    }
+    let mut fresh = std::collections::HashSet::new();
+    while fresh.len() < ops - deletes {
+        let (a, b) = (below(g.n()) as VertexId, below(g.n()) as VertexId);
+        if a != b && !g.has_edge(a, b) && fresh.insert((a.min(b), a.max(b))) {
+            batch.push(EdgeOp::Insert(a.min(b), a.max(b)));
+        }
+    }
+    for i in (1..batch.len()).rev() {
+        batch.swap(i, below(i + 1));
+    }
+    let undo = |op: &EdgeOp| match *op {
+        EdgeOp::Insert(u, v) => EdgeOp::Delete(u, v),
+        EdgeOp::Delete(u, v) => EdgeOp::Insert(u, v),
+    };
+    let inverse = batch.iter().rev().map(undo).collect();
+    (batch, inverse)
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub use decomposition::{
 };
 pub use params::{DecompositionParams, NibbleParams, ParamMode, SparseCutParams};
 pub use quality::{QualityBounds, QualityReport};
-pub use recluster::{recluster_broken, ReclusterParams, ReclusterReport};
+pub use recluster::{recluster_broken, ReclusterParams, ReclusterReport, Reuse};
 pub use scheduler::{
     derive_seed, JobStats, LevelExecution, RecursionReport, SchedulerPolicy, ScratchPool,
 };

@@ -7,8 +7,12 @@
 //!    the spectral Cheeger inequality (`Φ ≥ 1 − λ₂` for the lazy walk) on
 //!    larger parts. Sweep cuts supply complementary *upper* bounds so the
 //!    report also shows how tight the certificate is.
+//!
+//! The churn tier only asks whether a part still clears a *given* φ;
+//! [`certify_threshold`] answers with the cheapest sound argument.
 
 use crate::decomposition::DecompositionResult;
+use graph::traversal::connected_components;
 use graph::view::{AdjacencyView, Subgraph};
 use graph::{spectral, Graph, VertexSet};
 
@@ -141,12 +145,69 @@ pub fn certify_current<A: AdjacencyView + ?Sized>(g: &A, part: &VertexSet) -> Pa
             conductance_upper: f64::INFINITY,
         };
     }
-    let view = Subgraph::loop_augmented(g, part).graph().clone();
-    certify_view(&view, size)
+    certify_view(Subgraph::loop_augmented(g, part).graph(), size)
 }
 
-/// Shared certificate core: exact enumeration for small views, Cheeger
-/// lower bound plus sweep-cut upper bound otherwise.
+/// The rung of [`certify_threshold`]'s ladder that decided (DESIGN.md §15.3).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Rung {
+    /// Two or more positive-volume components (a loop-only vertex is one):
+    /// `Φ = 0` exactly. Carries them in parent ids, ascending by smallest
+    /// member; zero-degree members are in none.
+    Severed(Vec<VertexSet>),
+    /// Connected, at most 16 vertices: exact cut enumeration.
+    Enumerated,
+    /// Connected and `φ ≤ 1/⌊vol/2⌋`: every admissible cut crosses an edge
+    /// and its smaller side holds at most `⌊vol/2⌋`, so `Φ ≥ 1/⌊vol/2⌋ ≥ φ`.
+    Connected,
+    /// Connected, `φ` above that bound: [`certify_current`]'s Cheeger
+    /// estimate, bit for bit.
+    Spectral,
+}
+
+/// Certifies `part` of the current graph against `phi` on the view
+/// [`certify_current`] uses, stopping at the cheapest sound rung: returns
+/// a lower bound on `Φ(G{part})` and the rung that proved it — `0.0` when
+/// severed, exact when enumerated, `1/⌊vol/2⌋` when connectivity
+/// sufficed, else the Cheeger bound (`f64::INFINITY` without any cut).
+/// Every rung but [`Rung::Spectral`] is exact about `Φ ≥ phi`; the part
+/// still certifies iff the bound is `>= phi`.
+pub fn certify_threshold<A: AdjacencyView + ?Sized>(
+    g: &A,
+    part: &VertexSet,
+    phi: f64,
+) -> (f64, Rung) {
+    let sub = Subgraph::loop_augmented(g, part);
+    let view = sub.graph();
+    let mut components = connected_components(view);
+    components.retain(|c| view.volume(c) > 0);
+    let trivial = 1.0 / (view.total_volume() / 2) as f64;
+    if components.len() >= 2 {
+        let parents = components.iter().map(|c| sub.set_to_parent(c, g.view_n()));
+        (0.0, Rung::Severed(parents.collect()))
+    } else if part.len() <= 16 {
+        (lower_bound(view, part.len()), Rung::Enumerated)
+    } else if phi <= trivial {
+        (trivial, Rung::Connected)
+    } else {
+        (lower_bound(view, part.len()), Rung::Spectral)
+    }
+}
+
+/// Exact enumeration up to 16 vertices (`f64::INFINITY` when no cut has
+/// volume on both sides), the 300-iteration Cheeger bound above.
+fn lower_bound(view: &Graph, size: usize) -> f64 {
+    if size <= 16 {
+        spectral::exact_conductance(view).unwrap_or(f64::INFINITY)
+    } else {
+        spectral::lazy_walk_lambda2(view, 300)
+            .map(|s| spectral::cheeger_lower_bound(&s))
+            .unwrap_or(0.0)
+            .max(0.0)
+    }
+}
+
+/// Shared certificate core: [`lower_bound`] plus a sweep-cut upper bound.
 fn certify_view(view: &Graph, size: usize) -> PartCertificate {
     // Upper bound from a degree-ordered sweep.
     let mut order: Vec<graph::VertexId> = (0..view.n() as graph::VertexId).collect();
@@ -154,24 +215,13 @@ fn certify_view(view: &Graph, size: usize) -> PartCertificate {
     let upper = spectral::sweep_cut(view, &order)
         .map(|s| s.conductance)
         .unwrap_or(f64::INFINITY);
-    if size <= 16 {
-        let exact = spectral::exact_conductance(view).unwrap_or(f64::INFINITY);
-        PartCertificate {
-            size,
-            conductance_lower: exact,
-            exact: true,
-            conductance_upper: upper.min(exact),
-        }
-    } else {
-        let gap = spectral::lazy_walk_lambda2(view, 300)
-            .map(|s| spectral::cheeger_lower_bound(&s))
-            .unwrap_or(0.0);
-        PartCertificate {
-            size,
-            conductance_lower: gap.max(0.0),
-            exact: false,
-            conductance_upper: upper,
-        }
+    let exact = size <= 16;
+    let lower = lower_bound(view, size);
+    PartCertificate {
+        size,
+        conductance_lower: lower,
+        exact,
+        conductance_upper: if exact { upper.min(lower) } else { upper },
     }
 }
 
@@ -275,6 +325,72 @@ mod tests {
             after.conductance_lower,
             before.conductance_lower
         );
+    }
+
+    /// A 20-cycle on `0..20` plus, on `20..24`, whatever `extra` adds —
+    /// the part under test is always all 24 vertices.
+    fn cycle_plus(extra: &[(graph::VertexId, graph::VertexId)]) -> (Graph, VertexSet) {
+        let ring = (0..20u32).map(|v| (v, (v + 1) % 20));
+        let g = Graph::from_edges(24, ring.chain(extra.iter().copied())).unwrap();
+        (g, VertexSet::full(24))
+    }
+
+    #[test]
+    fn ladder_connectivity_rung_needs_no_spectral_call() {
+        // Four zero-degree members ride along: they carry no volume, sit
+        // on neither side of any cut, and must not read as severed.
+        let (g, part) = cycle_plus(&[]);
+        let (lower, rung) = certify_threshold(&g, &part, 1e-9);
+        assert_eq!(rung, Rung::Connected);
+        assert_eq!(lower, 1.0 / 20.0, "1/⌊vol/2⌋, vol = 40");
+        // The bound is exact arithmetic about a true fact: Φ(C20) = 2/20.
+        assert!(lower <= 2.0 / 20.0);
+        // φ exactly at the trivial bound still stops here.
+        assert_eq!(certify_threshold(&g, &part, 0.05).1, Rung::Connected);
+    }
+
+    #[test]
+    fn ladder_reads_zero_on_a_severed_pair_and_on_a_loop_only_vertex() {
+        let (g, part) = cycle_plus(&[(20, 21)]);
+        let (lower, rung) = certify_threshold(&g, &part, 1e-9);
+        assert_eq!(lower, 0.0);
+        let Rung::Severed(pieces) = rung else {
+            panic!("a severed pendant pair must stop at the connectivity rung");
+        };
+        let pieces: Vec<Vec<u32>> = pieces.iter().map(|p| p.iter().collect()).collect();
+        assert_eq!(pieces, vec![(0..20).collect::<Vec<u32>>(), vec![20, 21]]);
+
+        // A member whose only edges leave the part is a loop-only vertex
+        // of the view: positive volume, no way across — Φ = 0 as well.
+        let (g, _) = cycle_plus(&[(20, 23)]);
+        let part = VertexSet::from_iter(24, 0..23u32);
+        let (lower, rung) = certify_threshold(&g, &part, 1e-9);
+        assert_eq!(lower, 0.0);
+        assert!(matches!(&rung, Rung::Severed(p) if p.len() == 2 && p[1].iter().eq([20u32])));
+        // certify_current agrees up to its estimate: nothing above zero.
+        assert!(certify_current(&g, &part).conductance_lower < 1e-9);
+    }
+
+    #[test]
+    fn ladder_above_the_trivial_bound_is_certify_current_bit_for_bit() {
+        let g = gen::random_regular(64, 8, 5).unwrap();
+        let part = VertexSet::full(64);
+        let phi = 0.01; // > 1/⌊512/2⌋
+        let (lower, rung) = certify_threshold(&g, &part, phi);
+        assert_eq!(rung, Rung::Spectral);
+        let reference = certify_current(&g, &part).conductance_lower;
+        assert_eq!(lower.to_bits(), reference.to_bits());
+        assert!(lower >= phi, "an 8-regular expander clears 0.01");
+    }
+
+    #[test]
+    fn ladder_enumerates_small_connected_parts_exactly() {
+        let (g, cliques) = gen::ring_of_cliques(4, 6).unwrap();
+        let (lower, rung) = certify_threshold(&g, &cliques[0], 1e-9);
+        assert_eq!(rung, Rung::Enumerated);
+        let reference = certify_current(&g, &cliques[0]);
+        assert!(reference.exact);
+        assert_eq!(lower.to_bits(), reference.conductance_lower.to_bits());
     }
 
     #[test]

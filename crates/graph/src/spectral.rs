@@ -368,6 +368,30 @@ mod tests {
     }
 
     #[test]
+    fn zero_degree_vertices_collapse_the_lambda2_reading() {
+        // PINNED ARTIFACT, not a guarantee (DESIGN.md §15.3). Isolated
+        // vertices carry no volume and sit on neither side of any cut, so
+        // they cannot change Φ — yet they keep their start mass under the
+        // walk, `project_out_stationary` charges that mass to the
+        // positive-degree entries as a π component, and renormalising
+        // grows it every sweep until the reading is λ₂ ≈ 1. Changing this
+        // moves `tau_mix` and the exact round metrics, so it waits for a
+        // re-pin; until then nothing may rely on the reading when a part
+        // has zero-degree members (the churn ladder does not).
+        let clique = gen::complete(10).unwrap();
+        let padded = Graph::from_edges(13, clique.edges()).unwrap();
+        assert_eq!(
+            exact_conductance(&padded).unwrap(),
+            exact_conductance(&clique).unwrap(),
+            "three isolated vertices leave every cut's conductance alone"
+        );
+        let clean = cheeger_lower_bound(&lazy_walk_lambda2(&clique, 300).unwrap());
+        let leaky = cheeger_lower_bound(&lazy_walk_lambda2(&padded, 300).unwrap());
+        assert!(clean > 0.4, "K10 reads a healthy gap: {clean}");
+        assert!(leaky < 1e-6, "the padded reading collapses: {leaky}");
+    }
+
+    #[test]
     fn sweep_cut_finds_barbell_bottleneck() {
         let (g, left) = gen::barbell(6).unwrap();
         // Order vertices with the left clique first — the sweep should find

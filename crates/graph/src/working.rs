@@ -157,6 +157,19 @@ impl WorkingGraph {
         }
     }
 
+    /// Iterator over the neighbors `v` has **lost** since the snapshot:
+    /// its tombstoned base slots, ascending, parallel copies repeated. A
+    /// re-inserted copy resurrects its slot and is not listed, so the
+    /// count is net of delete-then-reinsert churn.
+    pub fn deleted_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let lo = self.offsets[v as usize];
+        let hi = self.offsets[v as usize + 1];
+        let live_base = self.live_deg[v as usize] as usize - self.extra[v as usize].len();
+        // Rows without a tombstone (almost all of them) are not scanned.
+        let hi = if live_base == hi - lo { lo } else { hi };
+        (lo..hi).filter(|&i| !self.alive[i]).map(|i| self.adj[i])
+    }
+
     /// Whether at least one live copy of the non-loop edge `{u, v}` exists.
     /// `O(log Δ + multiplicity)`.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
@@ -514,6 +527,24 @@ mod tests {
         assert_eq!(w.to_graph(), g, "delete-then-reinsert is the identity");
         // The copy went back into the base slots, not the insert rows.
         assert!(w.extra.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn deleted_neighbors_are_net_of_reinsertion() {
+        let g = Graph::from_edges(4, [(0, 1), (0, 1), (0, 2), (0, 3)]).unwrap();
+        let mut w = WorkingGraph::new(&g);
+        assert_eq!(w.deleted_neighbors(0).count(), 0);
+        w.remove_edges([(0, 1), (0, 3), (0, 2)], false);
+        assert_eq!(w.deleted_neighbors(0).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(w.deleted_neighbors(1).collect::<Vec<_>>(), vec![0]);
+        w.insert_edges([(2, 0)]); // resurrects the slot pair
+        assert_eq!(w.deleted_neighbors(0).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(w.deleted_neighbors(2).count(), 0);
+        // An edge the snapshot never held comes and goes without a trace.
+        w.insert_edges([(1, 2)]);
+        w.remove_edges([(1, 2)], false);
+        assert_eq!(w.deleted_neighbors(2).count(), 0);
+        assert_eq!(w.deleted_neighbors(1).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

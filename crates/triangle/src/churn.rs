@@ -25,9 +25,11 @@
 //!
 //! When the [`ChurnPolicy`] staleness bound trips, [`DeltaLedger::rebuild`]
 //! runs the incremental rebuild: re-certify φ for dirty clusters only
-//! (`expander::recluster::recluster_broken`), re-decompose just the broken
-//! ones, and [`QueryEngine::refreeze`] the next engine with every
-//! untouched cluster's artifact carried over by `Arc` pointer. The
+//! (`expander::recluster::recluster_broken`), split the severed ones,
+//! re-decompose just the connected pieces that fail, and
+//! [`QueryEngine::refreeze`] the next engine with every untouched
+//! cluster's artifact — and every re-certified cluster's routing
+//! hierarchy, inside the carry rule — carried over by `Arc` pointer. The
 //! returned engine is what a server swaps into its `EngineCell`
 //! (generation +1, in-flight batches finish on the old pointer).
 //!
@@ -42,7 +44,7 @@
 use crate::count::{count_triangles, Triangle};
 use crate::pipeline::PipelineParams;
 use crate::service::QueryEngine;
-use expander::recluster::{recluster_broken, ReclusterParams};
+use expander::recluster::{recluster_broken, ReclusterParams, Reuse};
 use expander::ClusterAssignment;
 use graph::seed::derive_seed;
 use graph::working::WorkingGraph;
@@ -123,12 +125,16 @@ pub struct RebuildReport {
     pub engine: Arc<QueryEngine>,
     /// Dirty clusters whose φ certificate was re-verified.
     pub checked: usize,
-    /// Clusters whose certificate broke and were re-decomposed.
+    /// Clusters whose certificate broke: severed, or connected and under φ.
     pub broken: usize,
     /// Clusters carried into the new engine by `Arc` pointer.
     pub reused: usize,
-    /// Clusters frozen from scratch (touched or newly cut).
+    /// Clusters whose rows were frozen again (touched or newly cut).
     pub rebuilt: usize,
+    /// Of `rebuilt`, those whose routing hierarchy was carried by pointer.
+    pub carried: usize,
+    /// Components of severed clusters that became parts on their own.
+    pub split: usize,
     /// Applied ops absorbed by this rebuild.
     pub absorbed: usize,
     /// Wall clock of the whole rebuild (recluster + refreeze).
@@ -365,9 +371,10 @@ impl DeltaLedger {
     }
 
     /// The incremental rebuild: materialize the live graph, re-verify φ
-    /// certificates of dirty clusters only, re-decompose exactly the
-    /// broken ones ([`recluster_broken`]), and refreeze the next engine
-    /// with untouched clusters' artifacts reused by pointer
+    /// certificates of dirty clusters only, split the severed and
+    /// re-decompose the connected-but-broken ones ([`recluster_broken`]),
+    /// and refreeze the next engine with untouched clusters' artifacts and
+    /// re-certified clusters' hierarchies reused by pointer
     /// ([`QueryEngine::refreeze`]). Resets the ledger's staleness state
     /// and rebases the overlay on the materialized graph.
     pub fn rebuild(&mut self, params: &PipelineParams) -> RebuildReport {
@@ -394,8 +401,14 @@ impl DeltaLedger {
             &params.scheduler_policy(),
         );
         let next = QueryEngine::refreeze(&g_now, assignment, params, &self.engine, &scope.reuse);
-        let reused = scope.reuse.iter().filter(|r| r.is_some()).count();
+        let reused = scope.reused();
         let rebuilt = scope.reuse.len() - reused;
+        let carried = (scope.reuse.iter().enumerate())
+            .filter(|&(c, r)| match *r {
+                Reuse::Recertified { old, .. } => next.shares_hierarchy(c, &self.engine, old),
+                _ => false,
+            })
+            .count();
         let engine = Arc::new(next);
         let absorbed = self.stale_edges;
         self.engine = Arc::clone(&engine);
@@ -410,6 +423,8 @@ impl DeltaLedger {
             broken: scope.broken,
             reused,
             rebuilt,
+            carried,
+            split: scope.split,
             absorbed,
             wall: t0.elapsed(),
         }

@@ -39,6 +39,7 @@
 use crate::count::Triangle;
 use crate::pipeline::{snapshot_member_adjacency, PipelineParams};
 use expander::decomposition::RemovalTag;
+use expander::recluster::Reuse;
 use expander::scheduler::{derive_seed, run_jobs, JobStats, SchedulerPolicy, ScratchPool};
 use expander::{ClusterAssignment, ClusterCertificate, ExpanderDecomposition};
 use graph::view::Subgraph;
@@ -186,7 +187,18 @@ impl BuildReport {
 struct ClusterArtifact {
     adj: Vec<Vec<VertexId>>,
     local_deg: Vec<u32>,
-    hierarchy: Option<RoutingHierarchy>,
+    /// `Arc`'d so a re-certified cluster re-freezes its rows around it.
+    hierarchy: Option<Arc<RoutingHierarchy>>,
+    /// Intra-cluster deletions `hierarchy` has absorbed since it was
+    /// built. In-memory only: a restored engine starts from zero.
+    absorbed: usize,
+}
+
+/// The carry rule (DESIGN.md §15.3): a re-certified cluster keeps its
+/// hierarchy while `absorbed · τ_mix ≤ vol`, the expander-pruning scale
+/// (`d` deletions prune `O(d/φ)` volume, `τ_mix ≈ ln vol/φ`).
+fn carry_tolerates(h: &RoutingHierarchy, absorbed: usize, vol: usize) -> bool {
+    absorbed.saturating_mul(h.tau_mix()) <= vol
 }
 
 /// The immutable build-once/query-many artifact.
@@ -294,21 +306,26 @@ impl QueryEngine {
     }
 
     /// Freezes a churned assignment while **reusing** the per-cluster
-    /// artifacts of a previous engine: `reuse[id] = Some(old_id)` carries
-    /// cluster `old_id`'s snapshot rows, degree snapshot, and hierarchy
-    /// (with its original seed) from `prev` into the new engine by
-    /// `Arc` pointer; `None` clusters are frozen from scratch. This is
-    /// the churn tier's incremental rebuild: only touched clusters pay
-    /// the freeze cost.
+    /// artifacts of a previous engine, per entry of `reuse`:
+    /// [`Reuse::Untouched`] carries the old cluster's snapshot rows, degree
+    /// snapshot and hierarchy (with its original seed) from `prev` by
+    /// `Arc` pointer; [`Reuse::Recertified`] re-freezes rows and degrees
+    /// from `g` and carries only the hierarchy, while the deletions it has
+    /// absorbed since it was built stay inside the carry rule
+    /// (`absorbed · τ_mix ≤ vol`; past it the hierarchy is rebuilt and the
+    /// count restarts); [`Reuse::Fresh`] clusters are frozen from scratch.
+    /// This is the churn tier's incremental rebuild: a cluster pays for
+    /// what changed in it.
     ///
     /// Soundness is the caller's contract (upheld by
-    /// `expander::recluster::recluster_broken`): a reused cluster must
-    /// have identical membership AND no member with a changed full-graph
-    /// adjacency row, so both the snapshots and the kept-induced
-    /// subgraph — and hence the hierarchy — are bit-identical to a fresh
-    /// freeze. Reused hierarchies keep their original seeds, so routing
-    /// *charges* may differ from a from-scratch build with different
-    /// cluster ids; answers never do.
+    /// `expander::recluster::recluster_broken`): an untouched cluster has
+    /// identical membership AND no member with a changed full-graph
+    /// adjacency row, so its artifact is bit-identical to a fresh freeze;
+    /// a re-certified cluster has identical membership — the cluster-local
+    /// ids the hierarchy is indexed by — and still certifies φ. Answers
+    /// are pure functions of the re-frozen rows. Carried hierarchies keep
+    /// their seeds, groups, portals and `τ_mix`, so routing *charges* may
+    /// differ from a from-scratch build; answers never do.
     ///
     /// # Panics
     ///
@@ -320,7 +337,7 @@ impl QueryEngine {
         assignment: ClusterAssignment,
         params: &PipelineParams,
         prev: &QueryEngine,
-        reuse: &[Option<usize>],
+        reuse: &[Reuse],
     ) -> QueryEngine {
         assert_eq!(
             assignment.n,
@@ -350,17 +367,24 @@ impl QueryEngine {
         Arc::ptr_eq(&self.clusters[c], &other.clusters[other_c])
     }
 
+    /// Whether cluster `c` routes on the same hierarchy allocation as
+    /// `other`'s cluster `other_c` (untouched, or re-certified and carried).
+    pub fn shares_hierarchy(&self, c: usize, other: &QueryEngine, other_c: usize) -> bool {
+        let (a, b) = (&self.clusters[c], &other.clusters[other_c]);
+        matches!((&a.hierarchy, &b.hierarchy), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
     /// The shared freeze: per-cluster snapshot + hierarchy jobs on the
     /// deterministic scheduler, seeded like the pipeline's level-0
-    /// cluster jobs. With a `reuse` context, flagged clusters are carried
-    /// over from the previous engine by pointer instead of rebuilt.
+    /// cluster jobs. With a `reuse` context, untouched clusters are carried
+    /// over by pointer and re-certified ones keep their hierarchy.
     fn freeze(
         g: &Graph,
         assignment: ClusterAssignment,
         params: &PipelineParams,
         decomposition_rounds: u64,
         wall_decompose: Duration,
-        reuse: Option<(&QueryEngine, &[Option<usize>])>,
+        reuse: Option<(&QueryEngine, &[Reuse])>,
     ) -> QueryEngine {
         let t0 = Instant::now();
         let policy = params.scheduler_policy();
@@ -375,35 +399,48 @@ impl QueryEngine {
         let spare_rows: ScratchPool<Vec<Vec<VertexId>>> = ScratchPool::new();
         let jobs: Vec<(usize, &VertexSet)> = assignment.clusters.iter().enumerate().collect();
         let (artifacts, _stats) = run_jobs(jobs, &policy, |_, (id, part)| {
-            if let Some((prev, map)) = reuse {
-                if let Some(old_id) = map[id] {
-                    return Arc::clone(&prev.clusters[old_id]);
+            let recertified = match reuse.map(|(prev, map)| (prev, map[id])) {
+                Some((prev, Reuse::Untouched(old))) => return Arc::clone(&prev.clusters[old]),
+                Some((prev, Reuse::Recertified { old, deleted })) => {
+                    debug_assert_eq!(prev.clusters[old].adj.len(), part.len());
+                    Some((&prev.clusters[old], deleted))
                 }
-            }
+                Some((_, Reuse::Fresh)) | None => None,
+            };
             let members: Vec<VertexId> = part.iter().collect();
             let mut spare = spare_rows.take();
             let adj = snapshot_member_adjacency(g, &members, &mut spare);
             spare_rows.put(spare);
             let cert = &assignment.certificates[id];
-            let (hierarchy, local_deg) = if cert.internal_edges > 0 && members.len() >= 2 {
+            let (hierarchy, local_deg, absorbed) = if cert.internal_edges > 0 && members.len() >= 2
+            {
                 let sub = Subgraph::induced(&kept, part);
                 let local_deg: Vec<u32> = (0..members.len())
                     .map(|u| sub.graph().degree(u as VertexId) as u32)
                     .collect();
-                let h = RoutingHierarchy::build(
-                    sub.graph(),
-                    params.routing_depth.max(1),
-                    derive_seed(level_seed, id as u64),
-                )
-                .ok();
-                (h, local_deg)
+                let carried = recertified.and_then(|(old, deleted)| {
+                    let h = old.hierarchy.as_ref()?;
+                    let absorbed = old.absorbed + deleted;
+                    carry_tolerates(h, absorbed, sub.graph().total_volume())
+                        .then(|| (Some(Arc::clone(h)), absorbed))
+                });
+                let (h, absorbed) = carried.unwrap_or_else(|| {
+                    let built = RoutingHierarchy::build(
+                        sub.graph(),
+                        params.routing_depth.max(1),
+                        derive_seed(level_seed, id as u64),
+                    );
+                    (built.ok().map(Arc::new), 0)
+                });
+                (h, local_deg, absorbed)
             } else {
-                (None, Vec::new())
+                (None, Vec::new(), 0)
             };
             Arc::new(ClusterArtifact {
                 adj,
                 local_deg,
                 hierarchy,
+                absorbed,
             })
         });
 
@@ -416,7 +453,7 @@ impl QueryEngine {
         let routed_clusters = artifacts.iter().filter(|a| a.hierarchy.is_some()).count();
         let hierarchy_build_rounds = artifacts
             .iter()
-            .filter_map(|a| a.hierarchy.as_ref())
+            .filter_map(|a| a.hierarchy.as_deref())
             .map(RoutingHierarchy::preprocessing_rounds)
             .max()
             .unwrap_or(0);
@@ -687,7 +724,7 @@ impl QueryEngine {
                 .map(|a| FrozenCluster {
                     adj: a.adj.clone(),
                     local_deg: a.local_deg.clone(),
-                    hierarchy: a.hierarchy.as_ref().map(RoutingHierarchy::to_parts),
+                    hierarchy: a.hierarchy.as_deref().map(RoutingHierarchy::to_parts),
                 })
                 .collect(),
             local_of: self.local_of.clone(),
@@ -810,22 +847,23 @@ impl QueryEngine {
                             fc.local_deg.len()
                         )));
                     }
-                    Some(
+                    Some(Arc::new(
                         RoutingHierarchy::from_parts(parts)
                             .map_err(|e| bad(format!("cluster {c} hierarchy: {e}")))?,
-                    )
+                    ))
                 }
             };
             artifacts.push(Arc::new(ClusterArtifact {
                 adj: fc.adj,
                 local_deg: fc.local_deg,
                 hierarchy,
+                absorbed: 0,
             }));
         }
         let routed_clusters = artifacts.iter().filter(|a| a.hierarchy.is_some()).count();
         let hierarchy_build_rounds = artifacts
             .iter()
-            .filter_map(|a| a.hierarchy.as_ref())
+            .filter_map(|a| a.hierarchy.as_deref())
             .map(RoutingHierarchy::preprocessing_rounds)
             .max()
             .unwrap_or(0);

@@ -7,6 +7,7 @@
 use expander_repro::prelude::*;
 use expander_repro::storage::{artifact, StorageError};
 use std::fs;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Deterministic mixed query stream over `n` vertices.
@@ -69,6 +70,57 @@ fn persisted_engine_reloads_bit_identical_and_fast() {
     assert!(
         ratio < 0.5,
         "restore took {ratio:.2}x the build ({restore_wall:?} vs {build_wall:?})"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn carried_hierarchy_persists_like_a_fresh_freeze() {
+    // A refrozen engine whose hierarchy was carried by pointer holds one
+    // in-memory extra (the absorbed-deletion count) that must not reach
+    // the artifact: same bytes on disk as a fresh freeze of the same
+    // assignment, and a restore that answers bit-identically, charges
+    // included.
+    let dir = storage::test_dir("persist-carried");
+    let pp = gen::planted_partition(&[40, 24], 0.7, 0.02, 31).unwrap();
+    let params = PipelineParams::default();
+    let assign =
+        |g: &Graph| ClusterAssignment::from_parts(g, &pp.blocks, 0.05, &params.scheduler_policy());
+    let engine = Arc::new(QueryEngine::from_assignment(
+        &pp.graph,
+        assign(&pp.graph),
+        &params,
+    ));
+    let mut ledger = DeltaLedger::new(&pp.graph, Arc::clone(&engine));
+    let (u, v) = (pp.graph.edges())
+        .find(|&(u, v)| pp.blocks[0].contains(u) && pp.blocks[0].contains(v))
+        .unwrap();
+    ledger.apply(&[EdgeOp::Delete(u, v)]);
+    let rebuilt = ledger.rebuild(&params);
+    assert_eq!(rebuilt.carried, 1);
+    let g_now = ledger.working().to_graph();
+    let fresh = QueryEngine::from_assignment(&g_now, assign(&g_now), &params);
+
+    let size_of = |name: &str, engine: &QueryEngine| {
+        let path = dir.join(name);
+        write_graph(&g_now, &path).unwrap();
+        artifact::store(&path, engine).unwrap();
+        (CsrFile::open(&path).unwrap().header().artifact_len, path)
+    };
+    let (carried_len, carried_path) = size_of("carried.csr", &rebuilt.engine);
+    let (fresh_len, _) = size_of("fresh.csr", &fresh);
+    assert_eq!(carried_len, fresh_len, "a carried hierarchy adds no byte");
+
+    let restored = artifact::load(&CsrFile::open(&carried_path).unwrap()).unwrap();
+    let qs = stream(g_now.n() as u32, 300);
+    let policy = SchedulerPolicy::sequential();
+    assert!(rebuilt
+        .engine
+        .serve(&qs, &policy)
+        .answers_match(&restored.serve(&qs, &policy)));
+    assert_eq!(
+        rebuilt.engine.to_frozen().clusters,
+        restored.to_frozen().clusters
     );
     fs::remove_dir_all(&dir).ok();
 }
