@@ -6,7 +6,8 @@
 //! request carries a fresh correlation id and every response is matched
 //! back through it. [`Client::run_pipelined`] keeps a window of requests
 //! outstanding and returns answers **in input order** regardless of the
-//! order the wire delivered them — with `Busy` refusals transparently
+//! order the wire delivered them — with `Busy` refusals (the server's
+//! work queue was full, the query was not executed) transparently
 //! retried a bounded number of times, since a refusal is an invitation
 //! to retry, not an answer.
 

@@ -20,13 +20,12 @@
 //!   mid-frame truncation, and malformed bytes are three distinct
 //!   outcomes.
 //! * [`server`] — the threaded serve loop: per-connection readers feed a
-//!   shared bounded queue; a batcher flushes size- or deadline-triggered
-//!   batches to an executor pool that answers each batch against one
-//!   `(engine, generation)` snapshot through the deterministic
-//!   scheduler; saturation answers `Busy` instead of queueing without
-//!   bound. [`serve_path`] restores the engine from a `.csr` artifact at
-//!   startup and re-opens it on reload — in-flight batches drain against
-//!   the old engine while new ones see the new.
+//!   shared bounded queue; each executor takes what has queued up and
+//!   answers it against one `(engine, generation)` snapshot; a full
+//!   queue answers `Busy` instead of growing. [`serve_path`] restores
+//!   the engine from a `.csr` artifact at startup and re-opens it on
+//!   reload — in-flight batches drain against the old engine while new
+//!   ones see the new.
 //! * [`client`] — a correlation-id-matched blocking client with
 //!   pipelining, used by the CI smoke driver and the benches.
 //!
@@ -108,6 +107,18 @@ mod tests {
             .collect()
     }
 
+    /// One wire response against the in-process oracle, generation 1.
+    fn assert_oracle_exact(engine: &QueryEngine, q: Query, resp: &WireResponse) {
+        match (&resp.body, engine.answer(q)) {
+            (ResponseBody::Answer(wire), Ok(local)) => assert_eq!(*wire, local),
+            (ResponseBody::Error(WireError::UnknownVertex { v }), Err(e)) => {
+                assert!(format!("{e}").contains(&v.to_string()));
+            }
+            (body, oracle) => panic!("wire {body:?} vs oracle {oracle:?}"),
+        }
+        assert_eq!(resp.generation, 1);
+    }
+
     #[test]
     fn wire_answers_match_the_in_process_oracle() {
         let engine = small_engine();
@@ -117,19 +128,52 @@ mod tests {
         let responses = client.run_pipelined(&queries, 16, 8).unwrap();
         assert_eq!(responses.len(), queries.len());
         for (q, resp) in queries.iter().zip(&responses) {
-            let oracle = engine.answer(*q);
-            match (&resp.body, oracle) {
-                (ResponseBody::Answer(wire), Ok(local)) => assert_eq!(*wire, local),
-                (ResponseBody::Error(WireError::UnknownVertex { v }), Err(e)) => {
-                    assert!(format!("{e}").contains(&v.to_string()));
-                }
-                (body, oracle) => panic!("wire {body:?} vs oracle {oracle:?}"),
-            }
-            assert_eq!(resp.generation, 1);
+            assert_oracle_exact(&engine, *q, resp);
         }
         let stats = handle.stats();
         assert_eq!(stats.answered, queries.len() as u64);
         assert!(stats.batches >= 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_burst_past_the_queue_is_refused_busy_or_answered_exactly() {
+        let engine = small_engine();
+        let handle = serve_engine(Arc::clone(&engine), &ServerConfig::default()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
+        client
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        // Eight times the 256-slot work queue, all written before the
+        // first reply is read.
+        let queries = mixed_queries(60, 2048);
+        let burst: Vec<u8> = queries
+            .iter()
+            .enumerate()
+            .flat_map(|(id, q)| {
+                Frame::new(Opcode::Query, id as u64, 0, protocol::encode_query(q)).encode()
+            })
+            .collect();
+        client.send_raw(&burst).unwrap();
+        let mut seen = vec![false; queries.len()];
+        let mut busy = 0u64;
+        for _ in &queries {
+            let resp = client.recv().unwrap();
+            let id = resp.id as usize;
+            assert!(!std::mem::replace(&mut seen[id], true), "id {id} twice");
+            if matches!(resp.body, ResponseBody::Busy) {
+                busy += 1;
+            } else {
+                assert_oracle_exact(&engine, queries[id], &resp);
+            }
+        }
+        // The reader handles frames in order, so its Pong follows its
+        // last counter update.
+        assert_eq!(client.ping().unwrap(), 1);
+        let stats = handle.stats();
+        assert_eq!(stats.busy, busy);
+        assert_eq!(stats.queries + stats.busy, queries.len() as u64);
+        assert_eq!(stats.answered, stats.queries);
         handle.shutdown();
     }
 

@@ -64,8 +64,8 @@ pub enum Opcode {
     Error = 0x82,
     /// Response to [`Opcode::Ping`], empty payload.
     Pong = 0x83,
-    /// Response: the server is saturated (work queue or in-flight batch
-    /// cap); the query was **not** executed. Empty payload.
+    /// Response: the server is saturated (work queue full, or the
+    /// connection cap); the query was **not** executed. Empty payload.
     Busy = 0x84,
     /// Response to [`Opcode::Reload`]: payload is one u8 — 1 if the
     /// engine was swapped, 0 if the reload failed and the old engine

@@ -4,49 +4,47 @@
 //! # Thread topology
 //!
 //! ```text
-//! acceptor ──► one reader thread per connection ──► shared work queue
-//!                         │ (bounded; try_send — full ⇒ Busy)
+//! acceptor ──► one reader thread per connection
+//!                         │ try_send — full ⇒ Busy
 //!                         ▼
-//!                      batcher ──► executor pool (max_inflight_batches)
-//!                 (flush on batch_max │   snapshot (engine, generation),
-//!                  or flush_interval) │   QueryEngine::serve, reply
-//!                                    ▼
-//!                    per-connection writer threads
+//!               bounded work queue (256 slots)
+//!                         │
+//!                         ▼
+//!               4 executors: block for one query, take what is
+//!               already queued behind it (≤ 64), snapshot
+//!               (engine, generation), QueryEngine::answer, reply
+//!                         │
+//!                         ▼
+//!               per-connection writer threads
 //! ```
 //!
-//! Queries from **all** connections funnel into one bounded work queue;
-//! the batcher flushes a batch when it holds
-//! [`ServerConfig::batch_max`] queries or when
-//! [`ServerConfig::flush_interval`] elapses since the batch's first
-//! query — the amortization the in-process tier measured (per-query work
-//! is microseconds, scheduling must be paid per *batch*). Each batch is
-//! answered against a single `(engine, generation)` snapshot, so answers
-//! within a batch are mutually consistent even across a reload.
+//! Queries from **all** connections funnel into one bounded work queue
+//! whose receiver the executors share. A batch is whatever had queued up
+//! by the time an executor came for it: it grows with the backlog, and an
+//! idle server answers the lone query at once. Each batch is answered
+//! against a single `(engine, generation)` snapshot, so answers within a
+//! batch are mutually consistent even across a reload.
 //!
 //! # Hot swap
 //!
 //! [`ServerHandle::reload`] (or a wire
-//! [`Opcode::Reload`](crate::protocol::Opcode) frame, or the
-//! [`ServerConfig::reload_poll`] mtime watcher — the poll-loop stand-in
-//! for SIGHUP, which the workspace's `unsafe`-free rule keeps out)
-//! re-opens the artifact via [`storage::artifact::restore_or_build`] and
-//! atomically replaces the shared `Arc<QueryEngine>`. In-flight batches
-//! hold their own `Arc` snapshot and drain against the **old** engine;
-//! new batches see the new one. Every response header carries the
-//! generation, so clients observe the swap from the stream alone. A
-//! failed reload (corrupt or missing file) keeps the old engine serving
-//! and counts `reload_failures` — degradation, never an outage.
+//! [`Opcode::Reload`](crate::protocol::Opcode) frame) re-opens the
+//! artifact via [`storage::artifact::restore_or_build`] and atomically
+//! replaces the shared `Arc<QueryEngine>`. In-flight batches hold their
+//! own `Arc` snapshot and drain against the **old** engine; new batches
+//! see the new one. Every response header carries the generation, so
+//! clients observe the swap from the stream alone. A failed reload
+//! (corrupt or missing file) keeps the old engine serving and counts
+//! `reload_failures` — degradation, never an outage.
 //!
 //! # Backpressure
 //!
-//! Three typed refusals instead of unbounded growth: the accept cap
+//! Two typed refusals instead of unbounded growth: the accept cap
 //! refuses connections past [`ServerConfig::max_connections`] with a
-//! `Busy` frame; a full work queue answers the overflowing query with
-//! `Busy` (the query is *not* executed — the client owns the retry); and
-//! a batch that finds all [`ServerConfig::max_inflight_batches`] executor
-//! slots taken is Busy-answered wholesale. Readers enforce
-//! [`ServerConfig::read_timeout`] so a stalled peer cannot pin its thread
-//! forever.
+//! `Busy` frame, and a full work queue answers the overflowing query with
+//! `Busy` (the query is *not* executed — the client owns the retry).
+//! Readers enforce [`ServerConfig::read_timeout`] so a stalled peer
+//! cannot pin its thread forever.
 
 use crate::codec::{self, CodecError};
 use crate::protocol::{
@@ -59,31 +57,30 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::Duration;
 use storage::artifact::{restore_or_build, EngineSource};
 use storage::StorageError;
 use triangle::service::{Query, QueryEngine};
 use triangle::PipelineParams;
 
-use expander::scheduler::SchedulerPolicy;
+/// Executor threads: batches answered concurrently.
+const EXECUTORS: usize = 4;
+/// Work-queue slots; a query arriving at a full queue is refused `Busy`.
+const QUEUE_SLOTS: usize = 256;
+/// Most queries one executor takes per `(engine, generation)` snapshot.
+const BATCH_CAP: usize = 64;
+/// How often an executor blocked on an empty queue re-checks the shutdown
+/// flag: a reader thread wedged past shutdown may still hold a sender, so
+/// the queue closing cannot be the only wake-up.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(25);
 
-/// Tuning knobs for [`serve_engine`]/[`serve_path`]. Every field has a
-/// serviceable default; the CI smoke job runs them unchanged.
+/// Deployment settings and outside-input limits for
+/// [`serve_engine`]/[`serve_path`]. Every field has a serviceable
+/// default; the CI smoke job runs them unchanged.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Address to bind (port 0 picks a free port).
     pub addr: SocketAddr,
-    /// Flush a batch once it holds this many queries.
-    pub batch_max: usize,
-    /// Flush a partial batch this long after its first query arrived.
-    pub flush_interval: Duration,
-    /// Scheduler workers *within* one batch (1 = serve sequentially;
-    /// cross-batch parallelism comes from the executor pool).
-    pub workers: usize,
-    /// Executor threads — the max number of batches in flight at once.
-    pub max_inflight_batches: usize,
-    /// Work-queue capacity; `0` derives `batch_max · max_inflight_batches`.
-    pub queue_cap: usize,
     /// Connections served concurrently; the acceptor refuses the rest
     /// with a `Busy` frame.
     pub max_connections: usize,
@@ -91,42 +88,15 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-frame payload cap in both directions.
     pub max_payload: u32,
-    /// Re-check the artifact file's mtime this often and hot-swap on
-    /// change (`None` disables polling; wire `Reload` still works).
-    pub reload_poll: Option<Duration>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            batch_max: 64,
-            flush_interval: Duration::from_micros(500),
-            workers: 1,
-            max_inflight_batches: 4,
-            queue_cap: 0,
             max_connections: 64,
             read_timeout: Duration::from_secs(30),
             max_payload: DEFAULT_MAX_PAYLOAD,
-            reload_poll: None,
-        }
-    }
-}
-
-impl ServerConfig {
-    fn effective_queue_cap(&self) -> usize {
-        if self.queue_cap > 0 {
-            self.queue_cap
-        } else {
-            (self.batch_max * self.max_inflight_batches).max(1)
-        }
-    }
-
-    fn policy(&self) -> SchedulerPolicy {
-        if self.workers <= 1 {
-            SchedulerPolicy::sequential()
-        } else {
-            SchedulerPolicy::with_workers(self.workers)
         }
     }
 }
@@ -176,9 +146,9 @@ pub struct StatsSnapshot {
     pub queries: u64,
     /// Answer/Error frames produced by executors.
     pub answered: u64,
-    /// Queries refused with `Busy` (queue full or no executor slot).
+    /// Queries refused with `Busy` because the work queue was full.
     pub busy: u64,
-    /// Batches flushed to executors.
+    /// Batches executors took off the work queue.
     pub batches: u64,
     /// Malformed frames/payloads received.
     pub protocol_errors: u64,
@@ -267,11 +237,9 @@ struct Inner {
     cell: EngineCell,
     config: ServerConfig,
     source: Option<(PathBuf, PipelineParams)>,
-    source_mtime: Mutex<Option<SystemTime>>,
     stats: Stats,
     shutdown: AtomicBool,
     active_connections: AtomicUsize,
-    inflight_batches: AtomicUsize,
     conns: Mutex<Vec<(u64, TcpStream)>>,
 }
 
@@ -283,7 +251,6 @@ impl Inner {
         let swapped = match &self.source {
             Some((path, params)) => match restore_or_build(path, params) {
                 Ok((engine, _)) => {
-                    *self.source_mtime.lock().expect("mtime lock poisoned") = file_mtime(path);
                     self.cell.swap(Arc::new(engine));
                     true
                 }
@@ -302,10 +269,6 @@ impl Inner {
         }
         swapped
     }
-}
-
-fn file_mtime(path: &std::path::Path) -> Option<SystemTime> {
-    std::fs::metadata(path).and_then(|m| m.modified()).ok()
 }
 
 /// A running server. Dropping the handle shuts the server down; keep it
@@ -393,8 +356,8 @@ impl ServerHandle {
         {
             let _ = s.shutdown(Shutdown::Both);
         }
-        // Closing the work queue lets the batcher (and then the
-        // executors, whose channel the batcher owns) drain and exit.
+        // With the acceptor's and the readers' senders gone too, the
+        // closed work queue wakes the executors at once.
         self.work_tx.take();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -421,8 +384,7 @@ pub fn serve_engine(
 /// Starts a server from a `.csr` file: restores the engine from the
 /// frozen-artifact section when present, builds it from the graph
 /// sections otherwise ([`restore_or_build`]), and remembers the path so
-/// reloads (wire frames, [`ServerHandle::reload`], the mtime poller)
-/// re-open it.
+/// reloads (wire frames, [`ServerHandle::reload`]) re-open it.
 pub fn serve_path(
     path: impl Into<PathBuf>,
     params: &PipelineParams,
@@ -441,34 +403,24 @@ fn start(
 ) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    let initial_mtime = source.as_ref().and_then(|(p, _)| file_mtime(p));
     let inner = Arc::new(Inner {
         cell: EngineCell::new(engine),
         config: config.clone(),
         source,
-        source_mtime: Mutex::new(initial_mtime),
         stats: Stats::default(),
         shutdown: AtomicBool::new(false),
         active_connections: AtomicUsize::new(0),
-        inflight_batches: AtomicUsize::new(0),
         conns: Mutex::new(Vec::new()),
     });
 
-    let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(config.effective_queue_cap());
-    let (exec_tx, exec_rx) = mpsc::sync_channel::<Vec<WorkItem>>(config.max_inflight_batches);
-    let exec_rx = Arc::new(Mutex::new(exec_rx));
+    let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(QUEUE_SLOTS);
+    let work_rx = Arc::new(Mutex::new(work_rx));
 
     let mut threads = Vec::new();
-    for _ in 0..config.max_inflight_batches.max(1) {
+    for _ in 0..EXECUTORS {
         let inner = Arc::clone(&inner);
-        let exec_rx = Arc::clone(&exec_rx);
-        threads.push(thread::spawn(move || executor_loop(&inner, &exec_rx)));
-    }
-    {
-        let inner = Arc::clone(&inner);
-        threads.push(thread::spawn(move || {
-            batcher_loop(&inner, work_rx, exec_tx)
-        }));
+        let work_rx = Arc::clone(&work_rx);
+        threads.push(thread::spawn(move || executor_loop(&inner, &work_rx)));
     }
     {
         let inner = Arc::clone(&inner);
@@ -476,10 +428,6 @@ fn start(
         threads.push(thread::spawn(move || {
             acceptor_loop(&inner, listener, work_tx)
         }));
-    }
-    if let Some(every) = config.reload_poll {
-        let inner = Arc::clone(&inner);
-        threads.push(thread::spawn(move || poll_loop(&inner, every)));
     }
 
     Ok(ServerHandle {
@@ -671,130 +619,33 @@ fn error_frame(inner: &Arc<Inner>, id: u64, p: &ProtocolError) -> Frame {
     )
 }
 
-fn batcher_loop(
-    inner: &Arc<Inner>,
-    work_rx: mpsc::Receiver<WorkItem>,
-    exec_tx: mpsc::SyncSender<Vec<WorkItem>>,
-) {
-    let batch_max = inner.config.batch_max.max(1);
-    let flush = inner.config.flush_interval;
-    let max_inflight = inner.config.max_inflight_batches.max(1);
-    'outer: loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Wait for a batch's first query; wake periodically to observe
-        // shutdown.
-        let first = match work_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(item) => item,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + flush;
-        while batch.len() < batch_max {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
+fn executor_loop(inner: &Inner, work_rx: &Mutex<mpsc::Receiver<WorkItem>>) {
+    let mut batch = Vec::with_capacity(BATCH_CAP);
+    while !inner.shutdown.load(Ordering::SeqCst) {
+        {
+            let rx = work_rx.lock().expect("work queue poisoned");
+            match rx.recv_timeout(SHUTDOWN_POLL) {
+                Ok(first) => batch.push(first),
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-            match work_rx.recv_timeout(left) {
-                Ok(item) => batch.push(item),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    dispatch_or_refuse(inner, batch, &exec_tx, max_inflight);
-                    break 'outer;
-                }
-            }
+            // Whatever queued up behind it, never waiting for more: the
+            // batch follows the backlog and a lone query is answered now.
+            batch.extend(rx.try_iter().take(BATCH_CAP - 1));
         }
-        dispatch_or_refuse(inner, batch, &exec_tx, max_inflight);
-    }
-}
-
-/// Hands a batch to the executor pool if an in-flight slot is free;
-/// otherwise answers every query in it with `Busy` — the typed
-/// backpressure response of a saturated server.
-fn dispatch_or_refuse(
-    inner: &Arc<Inner>,
-    batch: Vec<WorkItem>,
-    exec_tx: &mpsc::SyncSender<Vec<WorkItem>>,
-    max_inflight: usize,
-) {
-    let slot = inner
-        .inflight_batches
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
-            (c < max_inflight).then_some(c + 1)
-        })
-        .is_ok();
-    if slot {
         bump(&inner.stats.batches);
-        if exec_tx.send(batch).is_err() {
-            inner.inflight_batches.fetch_sub(1, Ordering::SeqCst);
-        }
-    } else {
-        let generation = inner.cell.generation();
-        for item in batch {
-            bump(&inner.stats.busy);
-            let _ = item
-                .reply
-                .send(Frame::new(Opcode::Busy, item.id, generation, Vec::new()));
-        }
-    }
-}
-
-fn executor_loop(inner: &Arc<Inner>, exec_rx: &Arc<Mutex<mpsc::Receiver<Vec<WorkItem>>>>) {
-    let policy = inner.config.policy();
-    loop {
-        let batch = {
-            let guard = exec_rx.lock().expect("executor queue poisoned");
-            guard.recv()
-        };
-        let batch = match batch {
-            Ok(b) => b,
-            Err(_) => break,
-        };
         // One consistent snapshot per batch: a reload mid-batch swaps the
         // cell, but this batch keeps draining against its own Arc.
         let (engine, generation) = inner.cell.snapshot();
-        let queries: Vec<Query> = batch.iter().map(|item| item.query).collect();
-        let report = engine.serve(&queries, &policy);
-        for (item, answer) in batch.into_iter().zip(report.answers) {
-            let frame = match answer {
-                Ok(outcome) => Frame::new(
-                    Opcode::Answer,
-                    item.id,
-                    generation,
-                    encode_outcome(&outcome),
-                ),
-                Err(e) => Frame::new(
-                    Opcode::Error,
-                    item.id,
-                    generation,
-                    encode_error(&WireError::from(e)),
-                ),
+        for item in batch.drain(..) {
+            let (opcode, payload) = match engine.answer(item.query) {
+                Ok(outcome) => (Opcode::Answer, encode_outcome(&outcome)),
+                Err(e) => (Opcode::Error, encode_error(&WireError::from(e))),
             };
             bump(&inner.stats.answered);
-            let _ = item.reply.send(frame);
-        }
-        inner.inflight_batches.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn poll_loop(inner: &Arc<Inner>, every: Duration) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        thread::sleep(every.min(Duration::from_millis(100)));
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let Some((path, _)) = &inner.source else {
-            break;
-        };
-        let seen = file_mtime(path);
-        let changed = {
-            let last = inner.source_mtime.lock().expect("mtime lock poisoned");
-            seen.is_some() && *last != seen
-        };
-        if changed {
-            inner.reload();
+            let _ = item
+                .reply
+                .send(Frame::new(opcode, item.id, generation, payload));
         }
     }
 }

@@ -76,12 +76,7 @@ fn swap_mid_stream_is_generation_exact_and_mismatch_free() {
     };
     let engine0 = Arc::new(QueryEngine::build(&g0, &params));
 
-    let config = ServerConfig {
-        batch_max: 8,
-        flush_interval: Duration::from_micros(200),
-        ..Default::default()
-    };
-    let handle = serve_engine(Arc::clone(&engine0), &config).unwrap();
+    let handle = serve_engine(Arc::clone(&engine0), &ServerConfig::default()).unwrap();
     assert_eq!(handle.generation(), 1);
 
     let mut client = Client::connect(handle.addr()).unwrap();
@@ -161,20 +156,8 @@ fn concurrent_stream_across_many_swaps_never_mismatches() {
     ]);
     let engine1 = ledger.rebuild(&params).engine;
 
-    // This test is about generation exactness, not backpressure (typed
-    // `Busy` refusals are pinned in the server crate's own tests), and a
-    // `Busy` that outlives its retries would fail the oracle comparison
-    // for an unrelated reason. So the server can hold everything the
-    // client pipelines: one executor slot per outstanding query (a batch
-    // holds at least one), and a work queue of `batch_max` × that.
     const WINDOW: usize = 16;
-    let config = ServerConfig {
-        batch_max: 4,
-        flush_interval: Duration::from_micros(100),
-        max_inflight_batches: WINDOW,
-        ..Default::default()
-    };
-    let handle = serve_engine(Arc::clone(&engine0), &config).unwrap();
+    let handle = serve_engine(Arc::clone(&engine0), &ServerConfig::default()).unwrap();
     let addr = handle.addr();
 
     const SWAPS: u64 = 6;
