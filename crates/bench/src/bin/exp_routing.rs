@@ -8,7 +8,7 @@
 //! the last block fits growth exponents vs n at fixed k.
 
 use bench_suite::{expander_family, fit_exponent, Table};
-use routing::{RoutingHierarchy, RoutingRequest};
+use routing::RoutingHierarchy;
 
 fn main() {
     let mut table = Table::new(
@@ -31,14 +31,10 @@ fn main() {
         let g = expander_family(n, 3);
         for k in 1..=k_max {
             let h = RoutingHierarchy::build(&g, k, 11).expect("expander builds");
-            // A permutation routing instance to validate delivery.
-            let reqs: Vec<RoutingRequest> = (0..n as u32)
-                .map(|v| RoutingRequest {
-                    src: v,
-                    dst: (v * 131 + 7) % n as u32,
-                })
-                .collect();
-            let out = h.route(&g, &reqs).expect("requests valid");
+            // A unit permutation instance to validate delivery: in
+            // aggregate, every vertex sends one word and receives one.
+            let unit: Vec<(u32, u64)> = (0..n as u32).map(|v| (v, 1)).collect();
+            let out = h.route_edge_loads(&g, &unit, &unit).expect("loads valid");
             table.row(vec![
                 n.to_string(),
                 k.to_string(),

@@ -19,10 +19,14 @@
 //!
 //! [`RoutingHierarchy`] materializes the recursive β-way splitting and
 //! charges rounds per the three GKS lemmas with *measured* quantities
-//! (actual `β`, actual mixing-time estimate, actual congestion);
-//! [`RoutingHierarchy::route`] additionally executes a token-level
-//! simulation of a query, verifying deliverability and measuring the
-//! realized congestion.
+//! (actual `β`, actual mixing-time estimate, actual congestion). One
+//! deterministic charge model prices every routing instance as a
+//! [`QueryCharge`], with two cost profiles:
+//! [`RoutingHierarchy::route_edge_loads`] charges a whole batched
+//! instance from aggregate per-vertex loads (one `O(n)` load vector, the
+//! triangle pipeline's DLP step), and [`RoutingHierarchy::route_query`]
+//! charges one point query by walking only its `O(k·log n)` touched
+//! vertices (the serve path).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,10 +34,7 @@
 mod hierarchy;
 mod mixing;
 
-pub use hierarchy::{
-    BatchOutcome, EdgeBatch, HierarchyParts, LevelParts, QueryCharge, RouteOutcome,
-    RoutingHierarchy, RoutingRequest,
-};
+pub use hierarchy::{HierarchyParts, LevelParts, QueryCharge, RoutingHierarchy};
 pub use mixing::estimate_mixing_time;
 
 /// Errors from building or querying the routing structure.

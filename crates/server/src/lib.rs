@@ -56,6 +56,7 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

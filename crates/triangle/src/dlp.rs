@@ -29,12 +29,23 @@
 //! Total accounting work is `O(g² + Σ|bucket| + |Vᵢ|)` (and `g³ = O(|Vᵢ|)`
 //! by the choice of `g`) instead of `O(T · avg bucket)`. The enumerating
 //! reference is retained here verbatim ([`DlpInstance::enumerated_batches`])
-//! so the equivalence suite can pin the closed form to it bit-for-bit, and
-//! so a regression back to enumeration is measurable (both paths count
-//! their operations).
+//! so the equivalence suite can pin the closed form's aggregate loads to
+//! its row and column sums, and so a regression back to enumeration is
+//! measurable (both paths count their operations).
 
 use graph::{Graph, VertexId, VertexSet};
-use routing::EdgeBatch;
+
+/// One (holder, owner) delivery of the enumerating reference: `words`
+/// `O(log n)`-bit edge words from `src` to `dst`, in cluster-local ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeBatch {
+    /// Member holding the bucket entries.
+    pub src: VertexId,
+    /// Triple owner that must receive them.
+    pub dst: VertexId,
+    /// Number of words in the delivery.
+    pub words: u64,
+}
 
 /// Aggregate per-vertex word loads of one cluster's DLP redistribution,
 /// plus the operation count that produced them.
@@ -340,85 +351,14 @@ impl<'a> DlpInstance<'a> {
         }
     }
 
-    /// Materializes the closed-form batch list: one batch per
-    /// (holder, owner) pair with a non-zero word total, canonically
-    /// sorted by `(src, dst)`.
-    ///
-    /// Test-facing: production uses [`DlpInstance::aggregate_loads`],
-    /// which summarizes this exact list without building it — the
-    /// equivalence suite pins this emitter bit-for-bit against
-    /// [`DlpInstance::enumerated_batches`] and the aggregate loads
-    /// against both.
-    pub fn closed_form_batches(&self) -> Vec<EdgeBatch> {
-        let g = self.groups;
-        // Aggregated buckets: (holder, multiplicity), holders ascending
-        // because members are scanned in ascending local id.
-        let mut buckets: Vec<Vec<(VertexId, u32)>> = vec![Vec::new(); g * g];
-        for (lu, &u) in self.members.iter().enumerate() {
-            let gu = self.group_of(u);
-            for &w in self.graph.neighbors(u) {
-                if self.holds_edge(u, w) {
-                    let bucket = &mut buckets[self.pair_index(gu, self.group_of(w))];
-                    match bucket.last_mut() {
-                        Some((h, mult)) if *h == lu as VertexId => *mult += 1,
-                        _ => bucket.push((lu as VertexId, 1)),
-                    }
-                }
-            }
-        }
-
-        // Owner-major replay of the references.
-        let mut refs: Vec<(u32, u32, u64)> = Vec::new(); // (owner, pair, count)
-        for a in 0..g as u32 {
-            for b in a..g as u32 {
-                let pair = self.pair_index(a, b);
-                if buckets[pair].is_empty() {
-                    continue;
-                }
-                self.pair_owner_refs(a, b, |o, triples| {
-                    refs.push((o as u32, pair as u32, triples));
-                });
-            }
-        }
-        refs.sort_unstable_by_key(|&(o, p, _)| (o, p));
-
-        let mut batches: Vec<EdgeBatch> = Vec::new();
-        let mut counts = vec![0u64; self.members.len()];
-        let mut touched: Vec<VertexId> = Vec::new();
-        let mut i = 0usize;
-        while i < refs.len() {
-            let owner = refs[i].0;
-            while i < refs.len() && refs[i].0 == owner {
-                let (_, pair, cnt) = refs[i];
-                for &(h, mult) in &buckets[pair as usize] {
-                    if counts[h as usize] == 0 {
-                        touched.push(h);
-                    }
-                    counts[h as usize] += mult as u64 * cnt;
-                }
-                i += 1;
-            }
-            for &h in &touched {
-                batches.push(EdgeBatch {
-                    src: h,
-                    dst: owner,
-                    words: counts[h as usize] as usize,
-                });
-                counts[h as usize] = 0;
-            }
-            touched.clear();
-        }
-        batches.sort_unstable_by_key(|b| (b.src, b.dst));
-        batches
-    }
-
     /// The retained pre-closed-form **enumerating reference** for the
-    /// pipeline's batch list: walks all `C(g+2, 3)` triples, dedups each
+    /// DLP redistribution: walks all `C(g+2, 3)` triples, dedups each
     /// triple's repeated pairs, and accumulates per-(holder, owner)
     /// words through the flush-on-budget owner walk. Returns the batch
     /// list (canonically sorted by `(src, dst)`, local ids) and the
     /// operation count the walk performed — the quantity the closed
-    /// form's `ops_budget` guard is calibrated against.
+    /// form's `ops_budget` guard is calibrated against. Its per-holder
+    /// and per-owner sums are exactly [`DlpInstance::aggregate_loads`].
     pub fn enumerated_batches(&self) -> (Vec<EdgeBatch>, u64) {
         let g = self.groups;
         let mut ops = 0u64;
@@ -442,7 +382,7 @@ impl<'a> DlpInstance<'a> {
                 batches.push(EdgeBatch {
                     src: h,
                     dst: owner,
-                    words: counts[h as usize] as usize,
+                    words: counts[h as usize],
                 });
                 counts[h as usize] = 0;
             }

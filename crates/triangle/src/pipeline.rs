@@ -4,8 +4,8 @@
 //!
 //! This module wires the repo's pieces — [`expander::decomposition`] (via
 //! its [`expander::ClusterAssignment`] contract), [`routing`]'s batched
-//! [`routing::EdgeBatch`] deliveries, and the [`congest`] engine in
-//! [`ExecMode::Parallel`] — into the single entry point
+//! routing charge ([`RoutingHierarchy::route_edge_loads`]), and the
+//! [`congest`] engine in [`ExecMode::Parallel`] — into the single entry point
 //! [`enumerate_via_decomposition`]. The pipeline *executes* the
 //! intra-cluster exchange as a real [`congest::VertexProgram`] per cluster
 //! and reports measured engine traffic per phase next to the analytic
@@ -16,9 +16,9 @@
 //! 1. **Decompose** (`ε ≤ 1/6`): [`ExpanderDecomposition`] splits `E` into
 //!    expander clusters plus removed edges `E*` (`|E*| ≤ ε·|E|`).
 //! 2. **Route**: inside each cluster, the cluster-incident edge slices are
-//!    redistributed to the owners of the DLP group triples with one
-//!    batched [`RoutingHierarchy::route_edges`] instance (per-vertex load
-//!    `O(deg(v))` per query ⇒ `Õ(n^{1/3})` queries, §3).
+//!    redistributed to the owners of the DLP group triples, charged as
+//!    one batched [`RoutingHierarchy::route_edge_loads`] instance
+//!    (per-vertex load `O(deg(v))` per query ⇒ `Õ(n^{1/3})` queries, §3).
 //! 3. **Enumerate**: each cluster runs an adjacency-exchange
 //!    [`congest::VertexProgram`] on its induced subgraph under
 //!    [`ExecMode::Parallel`]; every triangle with ≥ 1 intra-cluster edge
@@ -41,7 +41,7 @@ use expander::scheduler::{
 use expander::{ExpanderDecomposition, ParamMode};
 use graph::view::Subgraph;
 use graph::{Graph, VertexId, VertexSet, WorkingGraph};
-use routing::RoutingHierarchy;
+use routing::{QueryCharge, RoutingHierarchy};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -214,7 +214,7 @@ impl TriangleReport {
     /// The heaviest batched-routing instance across all levels measured
     /// in `O(log n)`-bit **words** — the unit the §3 load argument
     /// actually counts (each query moves `O(deg(v))` words per vertex,
-    /// and [`routing::BatchOutcome`] derives its query count from this).
+    /// and [`routing::QueryCharge::queries`] is derived from this).
     pub fn max_routing_words(&self) -> u64 {
         self.levels
             .iter()
@@ -508,20 +508,20 @@ impl<'p> PipelineRun<'p> {
         let mut engine_reports: Vec<RunReport> = Vec::with_capacity(cluster_runs.len());
         for mut cluster in cluster_runs {
             level.clusters += 1;
-            level.routing_build_rounds = level.routing_build_rounds.max(cluster.build_rounds);
-            level.routing_queries = level.routing_queries.max(cluster.queries);
-            level.routing_rounds = level.routing_rounds.max(cluster.routing_rounds);
-            level.routing_words = level.routing_words.max(cluster.routing_words);
+            let route = cluster.route;
+            level.routing_build_rounds = level.routing_build_rounds.max(route.build_rounds);
+            level.routing_queries = level.routing_queries.max(route.charge.queries);
+            level.routing_rounds = level.routing_rounds.max(route.charge.rounds);
+            level.routing_words = level.routing_words.max(route.charge.words);
             // Split of the opaque `clusters` wall (summed worker time) and
             // the ledger's closed-form accounting guard counters.
             self.phases.record_wall("clusters.dlp", cluster.wall_dlp);
             self.phases
                 .record_wall("clusters.exchange", cluster.wall_exchange);
             self.phases.record_wall("clusters.join", cluster.wall_join);
+            self.phases.record_ops("dlp_accounting", route.ops);
             self.phases
-                .record_ops("dlp_accounting", cluster.accounting_ops);
-            self.phases
-                .record_ops("dlp_accounting_budget", cluster.accounting_budget);
+                .record_ops("dlp_accounting_budget", route.ops_budget);
             engine_reports.push(cluster.engine);
             self.triangles.append(&mut cluster.triangles);
             self.triangle_buffers.put(cluster.triangles);
@@ -602,13 +602,7 @@ struct ClusterRun {
     /// Backed by a [`ScratchPool`] buffer; the level merge drains it and
     /// returns it to the pool.
     triangles: Vec<Triangle>,
-    build_rounds: u64,
-    queries: u64,
-    routing_words: u64,
-    routing_rounds: u64,
-    /// DLP accounting operations performed / budgeted (ledger guard).
-    accounting_ops: u64,
-    accounting_budget: u64,
+    route: RouteCharges,
     /// Per-phase walls inside the cluster job, so the level can split the
     /// scheduler's opaque `clusters` wall into DLP accounting vs exchange
     /// vs join (summed worker time, not elapsed wall in parallel mode).
@@ -687,7 +681,7 @@ fn run_cluster(
     // ── Phase: route — closed-form redistribution accounting of the
     // cluster-incident edge slices to the DLP triple owners, charged via
     // route_edge_loads. ──
-    let charges = route_cluster_slices(
+    let route = route_cluster_slices(
         current,
         part,
         &sub,
@@ -780,12 +774,7 @@ fn run_cluster(
 
     ClusterRun {
         triangles,
-        build_rounds: charges.build_rounds,
-        queries: charges.queries,
-        routing_words: charges.words,
-        routing_rounds: charges.rounds,
-        accounting_ops: charges.ops,
-        accounting_budget: charges.ops_budget,
+        route,
         wall_dlp,
         wall_exchange,
         wall_join,
@@ -797,9 +786,7 @@ fn run_cluster(
 #[derive(Debug, Default, Clone, Copy)]
 struct RouteCharges {
     build_rounds: u64,
-    queries: u64,
-    words: u64,
-    rounds: u64,
+    charge: QueryCharge,
     /// Closed-form accounting operations actually performed, plus the
     /// `O(g² + Σ|bucket| + |Vᵢ|)` budget they must stay under — both land
     /// in the [`PhaseLedger`] so a regression back to triple enumeration
@@ -812,9 +799,9 @@ struct RouteCharges {
 /// ([`dlp::DlpInstance`], DESIGN.md §11) and routes the resulting
 /// aggregate per-vertex loads through the cluster's GKS hierarchy.
 ///
-/// The aggregate loads summarize exactly the per-(holder, owner)
-/// [`routing::EdgeBatch`] list the seed implementation materialized by
-/// enumerating all `C(g+2, 3)` group triples —
+/// The aggregate loads are exactly the row and column sums of the
+/// per-(holder, owner) [`dlp::EdgeBatch`] list the enumerating reference
+/// builds from all `C(g+2, 3)` group triples —
 /// `tests/dlp_equivalence.rs` pins the two bit-for-bit — but are
 /// computed in `O(g² + Σ|bucket| + |Vᵢ|)` instead of
 /// `O(C(g+2, 3) · avg bucket)`.
@@ -843,14 +830,12 @@ fn route_cluster_slices(
     // sorted, so the member-list index IS the local id).
     let instance = dlp::DlpInstance::new(current, part, members, derive_seed(cluster_seed, 2));
     let loads = instance.aggregate_loads(&mut scratch.pair_raw, &mut scratch.holder_inc);
-    let outcome = hierarchy
+    let charge = hierarchy
         .route_edge_loads(sub.graph(), &loads.holders, &loads.owners)
         .expect("load endpoints are cluster-local");
     RouteCharges {
         build_rounds: hierarchy.preprocessing_rounds(),
-        queries: outcome.queries,
-        words: outcome.words,
-        rounds: outcome.rounds,
+        charge,
         ops: loads.ops,
         ops_budget: loads.ops_budget,
     }

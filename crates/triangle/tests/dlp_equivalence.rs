@@ -6,22 +6,20 @@
 //! **bit-for-bit** to the retained enumerating reference (the seed
 //! implementation that walked all `C(g+2, 3)` group triples):
 //!
-//! * the materialized [`EdgeBatch`] list (pair-dedup per triple) —
-//!   identical batches, identical canonical order;
 //! * the aggregate per-holder / per-owner word loads — identical to the
-//!   batch list's row and column sums;
+//!   row and column sums of the reference's (holder, owner) batch list,
+//!   which are the only quantities `route_edge_loads` charges;
 //! * the operation counts — the closed form stays within its
 //!   `O(g² + Σ|bucket| + |Vᵢ|)` budget and strictly undercuts the
 //!   enumeration it replaced (the ledger regression guard).
 
 use graph::{gen, Graph, VertexId, VertexSet};
 use proptest::prelude::*;
-use routing::EdgeBatch;
 use std::collections::BTreeMap;
 use triangle::dlp::DlpInstance;
 
-/// Full cross-check of one cluster: closed form vs the enumerating
-/// reference, plus internal consistency of the aggregate loads.
+/// Full cross-check of one cluster: the closed form's aggregate loads vs
+/// the enumerating reference's row and column sums.
 fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
     let members: Vec<VertexId> = part.iter().collect();
     if members.is_empty() {
@@ -29,24 +27,20 @@ fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
     }
     let instance = DlpInstance::new(g, part, &members, salt);
 
-    // 1. Batch list: closed form == enumerating reference, bit for bit.
-    let closed: Vec<EdgeBatch> = instance.closed_form_batches();
-    let (enumerated, enum_ops) = instance.enumerated_batches();
-    assert_eq!(closed, enumerated, "batch lists diverge (salt {salt})");
-
-    // 2. Aggregate loads == the batch list's row/column sums.
+    // 1. Aggregate loads == the reference batch list's row/column sums.
+    let (enumerated, _) = instance.enumerated_batches();
     let (mut pair_raw, mut holder_inc) = (Vec::new(), Vec::new());
     let agg = instance.aggregate_loads(&mut pair_raw, &mut holder_inc);
     let mut by_holder: BTreeMap<VertexId, u64> = BTreeMap::new();
     let mut by_owner: BTreeMap<VertexId, u64> = BTreeMap::new();
-    for b in &closed {
-        *by_holder.entry(b.src).or_insert(0) += b.words as u64;
-        *by_owner.entry(b.dst).or_insert(0) += b.words as u64;
+    for b in &enumerated {
+        *by_holder.entry(b.src).or_insert(0) += b.words;
+        *by_owner.entry(b.dst).or_insert(0) += b.words;
     }
     assert_eq!(agg.holders, by_holder.into_iter().collect::<Vec<_>>());
     assert_eq!(agg.owners, by_owner.into_iter().collect::<Vec<_>>());
 
-    // 3. The complexity contract: the closed form stays within its own
+    // 2. The complexity contract: the closed form stays within its own
     // budget. (On toy clusters its constant overhead can exceed the tiny
     // enumeration — the strict undercut is asserted at scale below.)
     assert!(
@@ -55,7 +49,6 @@ fn check_cluster(g: &Graph, part: &VertexSet, salt: u64) {
         agg.ops,
         agg.ops_budget
     );
-    let _ = enum_ops;
 }
 
 /// A deterministic pseudo-random subset of `{0, …, n-1}` (never empty).

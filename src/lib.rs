@@ -58,7 +58,7 @@ pub mod prelude {
     pub use congest::{Ctx, ExecMode, Network, RunReport, VertexProgram};
     pub use expander::prelude::*;
     pub use graph::prelude::*;
-    pub use routing::{QueryCharge, RoutingHierarchy, RoutingRequest};
+    pub use routing::{QueryCharge, RoutingHierarchy};
     pub use server::{
         serve_engine, serve_path, Client, ClientError, Frame, Opcode, ProtocolError, ResponseBody,
         ServerConfig, ServerHandle, WireError, WireResponse,
