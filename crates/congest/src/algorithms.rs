@@ -8,7 +8,7 @@
 //! crate.
 
 use crate::network::{Ctx, Network, VertexProgram};
-use crate::{Result, RunReport};
+use crate::{Inbox, Result, RunReport};
 use graph::{Graph, VertexId};
 
 /// Message tags for the tree algorithms.
@@ -53,13 +53,13 @@ pub fn distributed_bfs(
                 ctx.broadcast(1);
             }
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
+        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
             if self.dist.is_some() {
                 return;
             }
             if let Some(&d) = inbox.iter().map(|(_, d)| d).min() {
                 self.dist = Some(d);
-                let senders: Vec<VertexId> = inbox.iter().map(|&(f, _)| f).collect();
+                let senders: Vec<VertexId> = inbox.iter().map(|(f, _)| f).collect();
                 ctx.broadcast_except(&senders, d + 1);
             }
         }
@@ -103,11 +103,11 @@ pub fn broadcast_value(
                 ctx.broadcast(self.value);
             }
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[(VertexId, u64)]) {
+        fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
             if self.got.is_none() {
-                if let Some(&(_, v)) = inbox.first() {
+                if let Some((_, &v)) = inbox.iter().next() {
                     self.got = Some(v);
-                    let senders: Vec<VertexId> = inbox.iter().map(|&(f, _)| f).collect();
+                    let senders: Vec<VertexId> = inbox.iter().map(|(f, _)| f).collect();
                     ctx.broadcast_except(&senders, v);
                 }
             }
@@ -190,9 +190,9 @@ where
                 self.reported = self.pending.is_empty(); // degenerate root
             }
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[(VertexId, Self::Msg)]) {
+        fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: Inbox<'_, Self::Msg>) {
             let mut wave_senders: Vec<VertexId> = Vec::new();
-            for &(from, (tag, value)) in inbox {
+            for (from, &(tag, value)) in inbox {
                 match tag {
                     TAG_WAVE => wave_senders.push(from),
                     TAG_JOIN => {

@@ -1,25 +1,26 @@
 //! Arena-backed mailboxes for the round engine.
 //!
-//! The seed engine allocated `vec![Vec::new(); n]` inboxes **every
-//! round** and sorted each inbox by sender. This module replaces that
-//! with degree-offset flat arenas exploiting the model's structure: a
-//! vertex sends at most one message per neighbor per round, so vertex
+//! A vertex sends at most one message per neighbor per round, so vertex
 //! `u`'s outgoing traffic fits in a fixed arena with **one slot per
-//! adjacency position**, and the slot for recipient `v` is `v`'s
-//! lower-bound position in `u`'s sorted neighbor list.
+//! adjacency position** ([`OutBuf`]); the slot for recipient `v` is
+//! `v`'s lower-bound position in `u`'s sorted neighbor list. A message
+//! sent to every neighbor is stored once, in `u`'s [`BcastCell`].
 //!
-//! Delivery is *pull-based*: receiver `v` walks its own sorted neighbor
-//! list and reads each neighbor's slot for `v` (precomputed in
-//! [`RevIndex`]), which yields the inbox **already sorted by sender** —
-//! no per-round allocation, no sort. Slot occupancy is tracked by a
-//! round stamp instead of clearing, so an idle round costs nothing.
+//! Delivery is *pull-based* and *by reference*: receiver `v`'s [`Inbox`]
+//! walks `v`'s own sorted neighbor list and borrows each neighbor's
+//! broadcast cell or slot for `v` (precomputed in [`RevIndex`]) in
+//! place, which yields the mail **already sorted by sender** — no
+//! per-round allocation, no sort, no per-receiver copy. Slot occupancy
+//! is tracked by a round stamp instead of clearing, so an idle round
+//! costs nothing.
 //!
-//! Two arenas ([`MailboxPair`]) alternate writer/reader roles each round
+//! Two arenas ([`Mailboxes`]) alternate writer/reader roles each round
 //! (double buffering): round `r` writes arena `r % 2` while reading the
 //! messages round `r - 1` left in arena `(r - 1) % 2`. Because a vertex
 //! only ever *writes its own* arena segment and *reads its neighbors'*
 //! segments from the other arena, rounds parallelize over vertices with
-//! no write conflicts.
+//! no write conflicts, and an inbox borrowed from the reader arena stays
+//! valid for the whole round.
 
 use graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -74,14 +75,13 @@ impl<M> OutBuf<M> {
         self.stamp[slot] = round;
         self.msgs[slot] = Some(msg);
     }
-}
 
-impl<M: Clone> OutBuf<M> {
-    /// Reads the message in `slot`, which the caller checked is stamped.
+    /// Borrows the message in `slot`, which the caller checked is
+    /// stamped.
     #[inline]
-    fn read(&self, slot: usize) -> M {
+    fn read(&self, slot: usize) -> &M {
         self.msgs[slot]
-            .clone()
+            .as_ref()
             .expect("stamped slot holds a message")
     }
 }
@@ -280,7 +280,7 @@ fn writer_of(round: usize) -> usize {
     round % 2
 }
 
-impl<M: Clone> Mailboxes<M> {
+impl<M> Mailboxes<M> {
     pub(crate) fn new(g: &Graph) -> Self {
         let n = g.n();
         let arena = || {
@@ -394,7 +394,7 @@ impl<M> Clone for MailReader<'_, M> {
 
 impl<M> Copy for MailReader<'_, M> {}
 
-impl<M: Clone> MailReader<'_, M> {
+impl<M> MailReader<'_, M> {
     /// Whether `v` was sent mail in the previous round.
     #[inline]
     pub(crate) fn has_mail(&self, v: VertexId) -> bool {
@@ -430,37 +430,128 @@ impl<M: Clone> MailReader<'_, M> {
     pub(crate) fn mark_sent(&self, from: VertexId) {
         self.sent_write[from as usize].store(self.round, Ordering::Relaxed);
     }
+}
 
-    /// Pulls `v`'s inbox for this round into `inbox`, sorted by sender.
+/// One vertex's mail for one round, read in place.
+///
+/// Iterating yields `(sender, &message)` ascending by sender, each
+/// message borrowed straight from where its sender stored it — the
+/// sender's broadcast cell or its unicast arena slot — so delivery
+/// copies nothing and holds no per-receiver buffer. It is `Copy`, so a
+/// program may walk it as often as the round needs.
+pub struct Inbox<'a, M> {
+    me: VertexId,
+    /// `me`'s sorted neighbor list; `RevIndex` is parallel to it.
+    neighbors: &'a [VertexId],
+    mail: MailReader<'a, M>,
+}
+
+// Manual impls, like `MailReader`'s: copyable whatever `M` is.
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Inbox<'_, M> {}
+
+impl<'a, M> Inbox<'a, M> {
+    pub(crate) fn new(me: VertexId, neighbors: &'a [VertexId], mail: MailReader<'a, M>) -> Self {
+        debug_assert!(mail.round > 0, "round 0 delivers no messages");
+        Inbox {
+            me,
+            neighbors,
+            mail,
+        }
+    }
+
+    /// Whether no neighbor sent this vertex anything last round.
     ///
-    /// Walks `v`'s sorted neighbor list; for each distinct neighbor `u`,
-    /// reads `u`'s slot for `v` in the previous round's arena. Parallel
-    /// edges are skipped after the first copy (one slot per neighbor).
-    pub(crate) fn gather(&self, g: &Graph, v: VertexId, inbox: &mut Vec<(VertexId, M)>) {
-        debug_assert!(self.round > 0, "round 0 delivers no messages");
-        let prev = self.round - 1;
-        let neighbors = g.neighbors(v);
-        for (i, &u) in neighbors.iter().enumerate() {
+    /// Reads the receiver's has-mail stamp alone: every queued message
+    /// raises it, so it is exact.
+    pub fn is_empty(&self) -> bool {
+        let empty = !self.mail.has_mail(self.me);
+        debug_assert_eq!(
+            empty,
+            self.walk_from(0).next().is_none(),
+            "has-mail stamp of vertex {} disagrees with its senders' slots",
+            self.me
+        );
+        empty
+    }
+
+    /// The round's messages as `(sender, &message)`, ascending by sender.
+    pub fn iter(&self) -> InboxIter<'a, M> {
+        // The stamp is exact (see `is_empty`): a mail-less vertex skips
+        // the neighborhood walk.
+        let start = if self.mail.has_mail(self.me) {
+            0
+        } else {
+            self.neighbors.len()
+        };
+        self.walk_from(start)
+    }
+
+    fn walk_from(&self, next: usize) -> InboxIter<'a, M> {
+        InboxIter { inbox: *self, next }
+    }
+}
+
+impl<'a, M> IntoIterator for Inbox<'a, M> {
+    type Item = (VertexId, &'a M);
+    type IntoIter = InboxIter<'a, M>;
+
+    fn into_iter(self) -> InboxIter<'a, M> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Inbox`]; see [`Inbox::iter`].
+pub struct InboxIter<'a, M> {
+    inbox: Inbox<'a, M>,
+    /// Next adjacency position of the receiver to inspect.
+    next: usize,
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = (VertexId, &'a M);
+
+    /// Walks the receiver's sorted neighbor list; for each distinct
+    /// neighbor `u`, reads `u`'s broadcast cell, then `u`'s slot for the
+    /// receiver in the previous round's arena.
+    fn next(&mut self) -> Option<(VertexId, &'a M)> {
+        let Inbox {
+            me,
+            neighbors,
+            mail,
+        } = self.inbox;
+        let prev = mail.round - 1;
+        while self.next < neighbors.len() {
+            let i = self.next;
+            self.next += 1;
+            let u = neighbors[i];
+            // Parallel edges: one slot per neighbor, read at the first copy.
             if i > 0 && neighbors[i - 1] == u {
                 continue;
             }
             // Cheap first-level filter: skip neighbors that sent nothing
             // at all last round before touching their arena segment.
-            if self.sent_read[u as usize].load(Ordering::Relaxed) != prev {
+            if mail.sent_read[u as usize].load(Ordering::Relaxed) != prev {
                 continue;
             }
             // Broadcast fast path: one flat cell read per sender.
-            let cell = &self.bcast_read[u as usize];
+            let cell = &mail.bcast_read[u as usize];
             if cell.is_stamped(prev) {
-                inbox.push((u, cell.msg.clone().expect("stamped cell holds a message")));
-                continue;
+                let msg = cell.msg.as_ref().expect("stamped cell holds a message");
+                return Some((u, msg));
             }
-            let sender = &self.read[u as usize];
-            let slot = self.rev.slot_of_sender(v, i);
+            let slot = mail.rev.slot_of_sender(me, i);
+            let sender = &mail.read[u as usize];
             if sender.is_stamped(slot, prev) {
-                inbox.push((u, sender.read(slot)));
+                return Some((u, sender.read(slot)));
             }
         }
+        None
     }
 }
 
@@ -512,14 +603,15 @@ mod tests {
         let (_, _, reader) = boxes.split_for_round(1);
         assert!(reader.has_mail(1));
         assert!(!reader.has_mail(0) && !reader.has_mail(2));
-        let mut inbox = Vec::new();
-        reader.gather(&g, 1, &mut inbox);
-        assert_eq!(inbox, vec![(0, 41), (2, 43)]);
+        let inbox = Inbox::new(1, g.neighbors(1), reader);
+        let got: Vec<(VertexId, u32)> = inbox.iter().map(|(u, &m)| (u, m)).collect();
+        assert_eq!(got, vec![(0, 41), (2, 43)]);
+        assert!(!inbox.is_empty());
 
         // Vertices 0 and 2 got nothing.
-        inbox.clear();
-        reader.gather(&g, 0, &mut inbox);
+        let inbox = Inbox::new(0, g.neighbors(0), reader);
         assert!(inbox.is_empty());
+        assert_eq!(inbox.iter().count(), 0);
     }
 
     #[test]
@@ -534,8 +626,7 @@ mod tests {
         // message.
         boxes.mark_sent_for_test(0, 2);
         let (_, _, reader) = boxes.split_for_round(3);
-        let mut inbox = Vec::new();
-        reader.gather(&g, 1, &mut inbox);
-        assert!(inbox.is_empty(), "stale stamp leaked: {inbox:?}");
+        let leaked: Vec<_> = Inbox::new(1, g.neighbors(1), reader).walk_from(0).collect();
+        assert!(leaked.is_empty(), "stale stamp leaked: {leaked:?}");
     }
 }

@@ -2,8 +2,9 @@
 //! reduction, shared verbatim by the sequential and parallel paths.
 //!
 //! Each round has two logical phases fused into one pass over vertices:
-//! pull-deliver the previous round's messages ([`super::mailbox`]), then
-//! step the vertex program, validating sends eagerly
+//! hand the vertex its [`Inbox`] — a view of the previous round's
+//! messages, read in place from the senders' arena ([`super::mailbox`])
+//! — then step the vertex program, validating sends eagerly
 //! ([`super::validate`]). A vertex only ever mutates its own state and
 //! its own writer arena segment while reading neighbors' segments from
 //! the immutable reader arena, so the pass is embarrassingly parallel
@@ -44,14 +45,14 @@
 //!   second full sweep over all per-vertex stats per round.
 //!
 //! Determinism: per-vertex results do not depend on visit order, the
-//! inbox is gathered in sorted-sender order by construction, and the
+//! inbox yields senders in ascending order by construction, and the
 //! [`RoundAgg`] reduction (message/bit sums, max link bits, min-vertex
 //! error) is associative and commutative over integers — sequential and
 //! parallel execution therefore produce bit-identical [`RunReport`]s,
 //! final program states, and errors. `tests/engine_determinism.rs`
 //! proves this property over randomized graphs and programs.
 
-use crate::engine::mailbox::{BcastCell, MailReader, Mailboxes, OutBuf};
+use crate::engine::mailbox::{BcastCell, Inbox, MailReader, Mailboxes, OutBuf};
 use crate::engine::validate::SendStats;
 use crate::network::{Ctx, VertexProgram};
 use crate::{CongestError, Result, RunReport};
@@ -59,11 +60,11 @@ use graph::{Graph, VertexId};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Per-vertex engine state: the program plus reusable scratch.
+/// Per-vertex engine state: the program and its send accounting. Mail
+/// is read in place from the senders' arenas ([`Inbox`]), so a slot
+/// holds no inbox buffer.
 pub(crate) struct Slot<P: VertexProgram> {
     program: P,
-    /// Reused inbox buffer (cleared, not reallocated, each round).
-    inbox: Vec<(VertexId, P::Msg)>,
     stats: SendStats,
 }
 
@@ -280,7 +281,6 @@ where
     let mut slots: Vec<Slot<P>> = (0..n as VertexId)
         .map(|v| Slot {
             program: make(v),
-            inbox: Vec::new(),
             stats: SendStats::default(),
         })
         .collect();
@@ -349,11 +349,8 @@ fn step_vertex<P: VertexProgram>(
     halt: &mut bool,
 ) {
     slot.stats.reset();
-    slot.inbox.clear();
-    if round > 0 && reader.has_mail(v) {
-        reader.gather(g, v, &mut slot.inbox);
-    }
-    if round > 0 && slot.inbox.is_empty() && slot.program.halted() {
+    let inbox = (round > 0).then(|| Inbox::new(v, g.neighbors(v), reader));
+    if inbox.is_some_and(|inbox| inbox.is_empty()) && slot.program.halted() {
         // Halted and silent: skip the program, stay halted.
         *halt = true;
         return;
@@ -370,10 +367,9 @@ fn step_vertex<P: VertexProgram>(
         word_bits,
     );
     let mut ctx = Ctx::new(v, g, round, sink);
-    if round == 0 {
-        slot.program.init(&mut ctx);
-    } else {
-        slot.program.round(&mut ctx, &slot.inbox);
+    match inbox {
+        None => slot.program.init(&mut ctx),
+        Some(inbox) => slot.program.round(&mut ctx, inbox),
     }
     *halt = slot.program.halted();
     if !*halt {

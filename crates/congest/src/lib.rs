@@ -17,7 +17,7 @@
 //! # Example: flooding a token
 //!
 //! ```
-//! use congest::{Network, VertexProgram, Ctx};
+//! use congest::{Ctx, Inbox, Network, VertexProgram};
 //!
 //! #[derive(Default)]
 //! struct Flood { seen: bool }
@@ -30,11 +30,11 @@
 //!             ctx.broadcast(1);
 //!         }
 //!     }
-//!     fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: &[(graph::VertexId, u64)]) {
+//!     fn round(&mut self, ctx: &mut Ctx<'_, u64>, inbox: Inbox<'_, u64>) {
 //!         if !self.seen && !inbox.is_empty() {
 //!             self.seen = true;
 //!             // Forward to everyone who did not just send to us.
-//!             let senders: Vec<_> = inbox.iter().map(|&(f, _)| f).collect();
+//!             let senders: Vec<_> = inbox.iter().map(|(f, _)| f).collect();
 //!             ctx.broadcast_except(&senders, 1);
 //!         }
 //!     }
@@ -65,6 +65,7 @@ mod metrics;
 mod network;
 pub mod packed;
 
+pub use engine::mailbox::{Inbox, InboxIter};
 pub use engine::ExecMode;
 pub use error::CongestError;
 pub use message::Payload;

@@ -6,7 +6,7 @@
 
 use crate::engine::validate::SendSink;
 use crate::engine::{scheduler, ExecMode};
-use crate::{Payload, Result, RunReport};
+use crate::{Inbox, Payload, Result, RunReport};
 use graph::{Graph, VertexId};
 
 /// A per-vertex distributed program.
@@ -31,9 +31,12 @@ pub trait VertexProgram {
     /// One-time initialization; may send messages via `ctx`.
     fn init(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
-    /// One synchronous round. `inbox` holds `(sender, message)` pairs
-    /// sorted by sender id.
-    fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[(VertexId, Self::Msg)]);
+    /// One synchronous round. `inbox` yields the `(sender, &message)`
+    /// pairs sent to this vertex in the previous round, ascending by
+    /// sender id. The messages are borrowed in place from the senders'
+    /// outgoing storage for the duration of the call — delivery copies
+    /// nothing — so clone whatever must outlive the round.
+    fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: Inbox<'_, Self::Msg>);
 
     /// Whether this vertex currently votes to halt.
     fn halted(&self) -> bool;
@@ -247,9 +250,9 @@ mod tests {
                 self.done = true;
             }
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
+        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
             self.done = true;
-            for &(_, hops) in inbox {
+            for (_, &hops) in inbox {
                 if hops > 0 {
                     let me = ctx.me();
                     if let Some(&next) = ctx.neighbors().iter().find(|&&w| w > me) {
@@ -288,7 +291,7 @@ mod tests {
                 ctx.send(3, 1); // not adjacent on a path
             }
         }
-        fn round(&mut self, _: &mut Ctx<'_, u32>, _: &[(VertexId, u32)]) {}
+        fn round(&mut self, _: &mut Ctx<'_, u32>, _: Inbox<'_, u32>) {}
         fn halted(&self) -> bool {
             true
         }
@@ -320,7 +323,7 @@ mod tests {
                 ctx.send(1, 2);
             }
         }
-        fn round(&mut self, _: &mut Ctx<'_, u32>, _: &[(VertexId, u32)]) {}
+        fn round(&mut self, _: &mut Ctx<'_, u32>, _: Inbox<'_, u32>) {}
         fn halted(&self) -> bool {
             true
         }
@@ -355,7 +358,7 @@ mod tests {
                 ctx.send(1, (0, 0, 0, 0)); // 256 bits
             }
         }
-        fn round(&mut self, _: &mut Ctx<'_, Self::Msg>, _: &[(VertexId, Self::Msg)]) {}
+        fn round(&mut self, _: &mut Ctx<'_, Self::Msg>, _: Inbox<'_, Self::Msg>) {}
         fn halted(&self) -> bool {
             true
         }
@@ -378,7 +381,7 @@ mod tests {
     impl VertexProgram for NeverHalts {
         type Msg = u32;
         fn init(&mut self, _: &mut Ctx<'_, u32>) {}
-        fn round(&mut self, _: &mut Ctx<'_, u32>, _: &[(VertexId, u32)]) {}
+        fn round(&mut self, _: &mut Ctx<'_, u32>, _: Inbox<'_, u32>) {}
         fn halted(&self) -> bool {
             false
         }
@@ -395,7 +398,7 @@ mod tests {
     impl VertexProgram for InstantHalt {
         type Msg = u32;
         fn init(&mut self, _: &mut Ctx<'_, u32>) {}
-        fn round(&mut self, _: &mut Ctx<'_, u32>, _: &[(VertexId, u32)]) {}
+        fn round(&mut self, _: &mut Ctx<'_, u32>, _: Inbox<'_, u32>) {}
         fn halted(&self) -> bool {
             true
         }
@@ -430,8 +433,8 @@ mod tests {
             ctx.broadcast(self.best);
             self.changed = false;
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
-            let incoming = inbox.iter().map(|&(_, b)| b).min();
+        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
+            let incoming = inbox.iter().map(|(_, &b)| b).min();
             if let Some(b) = incoming {
                 if b < self.best {
                     self.best = b;

@@ -16,7 +16,7 @@
 //! and overlapping floods hitting one receiver from many senders in the
 //! same round (the push-once dedup in `flag_mail`).
 
-use congest::{Ctx, ExecMode, Network, RunReport, VertexProgram};
+use congest::{Ctx, ExecMode, Inbox, Network, RunReport, VertexProgram};
 use graph::{gen, Graph, VertexId};
 
 /// Flood-with-TTL plus scheduled late wake-ups.
@@ -55,9 +55,9 @@ impl VertexProgram for Pulse {
         }
     }
 
-    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
+    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
         let mut max_ttl = 0;
-        for &(from, ttl) in inbox {
+        for (from, &ttl) in inbox {
             self.state = self
                 .state
                 .wrapping_mul(0x100000001B3)

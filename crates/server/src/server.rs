@@ -35,7 +35,9 @@
 //! see the new one. Every response header carries the generation, so
 //! clients observe the swap from the stream alone. A failed reload
 //! (corrupt or missing file) keeps the old engine serving and counts
-//! `reload_failures` — degradation, never an outage.
+//! `reload_failures` — degradation, never an outage. So does a reload
+//! after [`ServerHandle::swap_engine`] installed a caller-built engine,
+//! which the file would silently revert.
 //!
 //! # Backpressure
 //!
@@ -198,6 +200,11 @@ fn bump(counter: &AtomicU64) {
 struct EngineCell {
     slot: RwLock<(Arc<QueryEngine>, u64)>,
     generation: AtomicU64,
+    /// Set by every [`EngineCell::swap`]: from then on the server's
+    /// source file (if any) no longer describes the engine serving.
+    /// Written and decided on under the slot's write lock, which orders
+    /// it; `Relaxed` suffices, and an unlocked read is only an early exit.
+    diverged: AtomicBool,
 }
 
 impl EngineCell {
@@ -205,6 +212,7 @@ impl EngineCell {
         EngineCell {
             slot: RwLock::new((engine, 1)),
             generation: AtomicU64::new(1),
+            diverged: AtomicBool::new(false),
         }
     }
 
@@ -217,10 +225,32 @@ impl EngineCell {
         self.generation.load(Ordering::Acquire)
     }
 
+    fn diverged(&self) -> bool {
+        self.diverged.load(Ordering::Relaxed)
+    }
+
+    /// Installs `engine` under the next generation and returns it.
     fn swap(&self, engine: Arc<QueryEngine>) -> u64 {
         let mut guard = self.slot.write().expect("engine slot poisoned");
-        let next = guard.1 + 1;
-        *guard = (engine, next);
+        self.diverged.store(true, Ordering::Relaxed);
+        self.install(&mut guard, engine)
+    }
+
+    /// Installs an engine re-read from the source file; `false`, and
+    /// nothing changes, if a [`EngineCell::swap`] replaced the source's
+    /// engine: the file would silently revert every update it carries.
+    fn swap_from_source(&self, engine: Arc<QueryEngine>) -> bool {
+        let mut guard = self.slot.write().expect("engine slot poisoned");
+        let fresh = !self.diverged();
+        if fresh {
+            self.install(&mut guard, engine);
+        }
+        fresh
+    }
+
+    fn install(&self, slot: &mut (Arc<QueryEngine>, u64), engine: Arc<QueryEngine>) -> u64 {
+        let next = slot.1 + 1;
+        *slot = (engine, next);
         self.generation.store(next, Ordering::Release);
         next
     }
@@ -245,15 +275,16 @@ struct Inner {
 
 impl Inner {
     /// Re-opens the artifact and swaps the engine in; `true` on success.
-    /// Without a file source the current engine is re-armed under a new
-    /// generation — a reload drill, observable by clients all the same.
+    /// Refused once [`ServerHandle::swap_engine`] installed an engine the
+    /// file does not describe (re-opening it would drop that engine's
+    /// updates while the generation advances). Without a file source the
+    /// current engine is re-armed under a new generation — a reload
+    /// drill, observable by clients all the same.
     fn reload(&self) -> bool {
         let swapped = match &self.source {
+            Some(_) if self.cell.diverged() => false,
             Some((path, params)) => match restore_or_build(path, params) {
-                Ok((engine, _)) => {
-                    self.cell.swap(Arc::new(engine));
-                    true
-                }
+                Ok((engine, _)) => self.cell.swap_from_source(Arc::new(engine)),
                 Err(_) => false,
             },
             None => {
@@ -309,7 +340,9 @@ impl ServerHandle {
     }
 
     /// Triggers a hot-swap reload (same path as a wire `Reload` frame);
-    /// `true` if the engine was swapped.
+    /// `true` if the engine was swapped. A server started from a file
+    /// refuses once [`ServerHandle::swap_engine`] has run: the file no
+    /// longer describes the engine serving.
     pub fn reload(&self) -> bool {
         self.inner.reload()
     }
@@ -320,7 +353,8 @@ impl ServerHandle {
     /// background and installs the result here. Same contract as a
     /// reload: the generation advances exactly once, batches already in
     /// flight finish on the engine snapshot they started with, and the
-    /// next batch answers on the new engine.
+    /// next batch answers on the new engine. From then on, reloads from
+    /// the server's source file are refused ([`ServerHandle::reload`]).
     pub fn swap_engine(&self, engine: Arc<QueryEngine>) -> u64 {
         let generation = self.inner.cell.swap(engine);
         bump(&self.inner.stats.reloads);

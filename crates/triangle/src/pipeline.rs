@@ -33,7 +33,7 @@
 use crate::count::Triangle;
 use crate::dlp;
 use congest::packed::{self, IdStreamDecoder, IdStreamEncoder, PackedIds};
-use congest::{Ctx, ExecMode, Network, PhaseLedger, RunReport, VertexProgram};
+use congest::{Ctx, ExecMode, Inbox, Network, PhaseLedger, RunReport, VertexProgram};
 use expander::params::DecompositionParams;
 use expander::scheduler::{
     derive_seed, run_jobs, LevelExecution, RecursionReport, SchedulerPolicy, ScratchPool,
@@ -915,7 +915,7 @@ impl VertexProgram for AdjacencyExchange {
         self.stream_next(ctx);
     }
 
-    fn round(&mut self, ctx: &mut Ctx<'_, PackedIds>, inbox: &[(VertexId, PackedIds)]) {
+    fn round(&mut self, ctx: &mut Ctx<'_, PackedIds>, inbox: Inbox<'_, PackedIds>) {
         // The inbox arrives sorted by sender and `higher[me]` is sorted,
         // so one monotone merge-walk resolves every sender's slot — no
         // per-message binary search. Each decoded id advances the
@@ -925,7 +925,6 @@ impl VertexProgram for AdjacencyExchange {
         let higher = &self.higher[self.me];
         let mut hi = 0usize;
         for (sender, msg) in inbox {
-            let sender = *sender;
             if (sender as usize) <= self.me {
                 continue;
             }

@@ -74,8 +74,8 @@ impl VertexProgram for CountNeighbors {
     fn init(&mut self, ctx: &mut Ctx<'_, u32>) {
         ctx.broadcast(ctx.me());
     }
-    fn round(&mut self, _ctx: &mut Ctx<'_, u32>, inbox: &[(graph::VertexId, u32)]) {
-        self.heard += inbox.len() as u32;
+    fn round(&mut self, _ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
+        self.heard += inbox.iter().count() as u32;
         self.done = true;
     }
     fn halted(&self) -> bool {

@@ -55,7 +55,7 @@ pub use triangle;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use congest::{Ctx, ExecMode, Network, RunReport, VertexProgram};
+    pub use congest::{Ctx, ExecMode, Inbox, Network, RunReport, VertexProgram};
     pub use expander::prelude::*;
     pub use graph::prelude::*;
     pub use routing::{QueryCharge, RoutingHierarchy};

@@ -9,7 +9,7 @@
 //! thread count forced above one so the parallel path really does chunk
 //! work across threads.
 
-use congest::{CongestError, Ctx, ExecMode, Network, VertexProgram};
+use congest::{CongestError, Ctx, ExecMode, Inbox, Network, VertexProgram};
 use graph::{gen, Graph, VertexId};
 use proptest::prelude::*;
 
@@ -55,9 +55,9 @@ impl VertexProgram for Gossip {
         self.best = mix(ctx.me() as u64 ^ self.salt);
         ctx.broadcast((self.best, (self.best % 251) as u8));
     }
-    fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: &[(VertexId, Self::Msg)]) {
+    fn round(&mut self, ctx: &mut Ctx<'_, Self::Msg>, inbox: Inbox<'_, Self::Msg>) {
         self.rounds_active += 1;
-        let incoming = inbox.iter().map(|&(_, (b, _))| b).max();
+        let incoming = inbox.iter().map(|(_, &(b, _))| b).max();
         if let Some(b) = incoming {
             if b > self.best {
                 self.best = b;
@@ -65,8 +65,8 @@ impl VertexProgram for Gossip {
                 // those who sent `b` itself already know it.
                 let knowers: Vec<VertexId> = inbox
                     .iter()
-                    .filter(|&&(_, (val, _))| val == b)
-                    .map(|&(f, _)| f)
+                    .filter(|&(_, &(val, _))| val == b)
+                    .map(|(f, _)| f)
                     .collect();
                 ctx.broadcast_except(&knowers, (b, (b % 251) as u8));
             }
@@ -101,8 +101,8 @@ impl VertexProgram for TokenWalk {
             }
         }
     }
-    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
-        for &(_, ttl) in inbox {
+    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
+        for (_, &ttl) in inbox {
             self.received += 1;
             self.last_seen_ttl = ttl;
             if ttl > 0 {
@@ -136,7 +136,7 @@ impl VertexProgram for Rogue {
             self.violate(ctx);
         }
     }
-    fn round(&mut self, ctx: &mut Ctx<'_, u64>, _inbox: &[(VertexId, u64)]) {
+    fn round(&mut self, ctx: &mut Ctx<'_, u64>, _inbox: Inbox<'_, u64>) {
         self.ticks = ctx.round();
         if self.me_is_rogue && self.trigger_round == ctx.round() {
             self.violate(ctx);
@@ -241,7 +241,7 @@ fn round_limit_is_mode_independent() {
         fn init(&mut self, ctx: &mut Ctx<'_, u32>) {
             ctx.broadcast(0);
         }
-        fn round(&mut self, ctx: &mut Ctx<'_, u32>, _: &[(VertexId, u32)]) {
+        fn round(&mut self, ctx: &mut Ctx<'_, u32>, _: Inbox<'_, u32>) {
             ctx.broadcast(ctx.round() as u32);
         }
         fn halted(&self) -> bool {

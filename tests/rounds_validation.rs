@@ -4,7 +4,7 @@
 //! round charges must match the measured synchronous rounds.
 
 use congest::algorithms::distributed_bfs;
-use congest::{Ctx, ExecMode, Network, VertexProgram};
+use congest::{Ctx, ExecMode, Inbox, Network, VertexProgram};
 use expander_repro::prelude::*;
 
 /// MPX `Clustering(β)` as a genuine message-passing CONGEST program:
@@ -24,13 +24,13 @@ impl VertexProgram for MpxProgram {
 
     fn init(&mut self, _ctx: &mut Ctx<'_, u32>) {}
 
-    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: &[(VertexId, u32)]) {
+    fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
         let t = ctx.round();
         if t > self.horizon {
             return;
         }
         // Record announcements from neighbors clustered in earlier epochs.
-        for &(_, c) in inbox {
+        for (_, &c) in inbox {
             if self.heard.map_or(true, |h| c < h) {
                 self.heard = Some(c);
             }

@@ -8,16 +8,19 @@
 //!   in-process oracle bit-for-bit — **zero mismatches**, even for
 //!   batches in flight across the swap boundary;
 //! * batches already in flight finish on the engine they started with
-//!   (the stamp proves which engine answered).
+//!   (the stamp proves which engine answered);
+//! * once a churned engine is swapped in, a wire `Reload` of a
+//!   file-backed server is refused instead of reverting the churn.
 //!
 //! [`swap_engine`]: server::server::ServerHandle::swap_engine
 
 use expander_repro::prelude::*;
 use server::client::{Client, ResponseBody};
-use server::server::{serve_engine, ServerConfig};
+use server::server::{serve_engine, serve_path, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use triangle::service::Answer;
 use triangle::{DeltaLedger, EdgeOp};
 
 /// Probe queries the oracle comparison replays per generation.
@@ -241,4 +244,62 @@ fn concurrent_stream_across_many_swaps_never_mismatches() {
     );
 
     handle.shutdown();
+}
+
+#[test]
+fn wire_reload_after_a_swap_keeps_the_churned_engine() {
+    // The server starts from a file; vertex 0 loses every edge through the
+    // ledger, and the rebuilt engine is swapped in. Re-opening the file
+    // would bring vertex 0's triangles back under a fresh generation, so
+    // the reload must be refused and leave generation and engine alone.
+    let g0 = gen::gnp(60, 0.3, 7).unwrap();
+    let path = storage::test_dir("reload-after-swap").join("g.csr");
+    write_graph(&g0, &path).unwrap();
+    let params = PipelineParams {
+        seed: 7,
+        ..Default::default()
+    };
+    let (handle, _) = serve_path(&path, &params, &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let count_0 = Query::Vertex {
+        v: 0,
+        emit: Emit::Count,
+    };
+    let answer_0 = |client: &mut Client| match client.query(count_0).unwrap().body {
+        ResponseBody::Answer(outcome) => outcome.answer,
+        other => panic!("expected an answer, got {other:?}"),
+    };
+    assert_ne!(
+        answer_0(&mut client),
+        Answer::Count(0),
+        "vertex 0 starts on triangles"
+    );
+
+    let mut ledger = DeltaLedger::new(&g0, handle.engine());
+    let cut: Vec<EdgeOp> = g0
+        .neighbors(0)
+        .iter()
+        .map(|&w| EdgeOp::Delete(0, w))
+        .collect();
+    ledger.apply(&cut);
+    let churned = ledger.rebuild(&params).engine;
+    assert_eq!(handle.swap_engine(Arc::clone(&churned)), 2);
+    assert_eq!(answer_0(&mut client), Answer::Count(0));
+
+    let failures_before = handle.stats().reload_failures;
+    let (swapped, generation) = client.reload().unwrap();
+    assert!(!swapped, "a file reload would revert the swapped-in churn");
+    assert_eq!(
+        generation, 2,
+        "a refused reload leaves the generation alone"
+    );
+    assert_eq!(handle.stats().reload_failures, failures_before + 1);
+    assert!(Arc::ptr_eq(&handle.engine(), &churned));
+    assert_eq!(answer_0(&mut client), Answer::Count(0));
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
