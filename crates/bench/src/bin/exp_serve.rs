@@ -5,7 +5,7 @@
 //!
 //! 1. generate the power-law scale instance (≈ `--edges` edges),
 //! 2. build the [`triangle::service::QueryEngine`] **once** (measured
-//!    level-0 decomposition + frozen snapshots/hierarchies) and report
+//!    level-0 decomposition + frozen rows/hierarchies) and report
 //!    the build wall next to `exp_scale`'s `build_s` column,
 //! 3. replay a deterministic `--queries`-long mixed stream
 //!    ([`bench_suite::serve_query_stream`]) sequentially as the reference,

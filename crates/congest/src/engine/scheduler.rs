@@ -27,10 +27,10 @@
 //! the list is halted with no mail — precisely the set the previous
 //! full-scan engine skipped via its idle fast path — so the stepped set,
 //! and with it every per-vertex effect and the [`RoundAgg`] reduction,
-//! is identical to a full scan's. Setting `CONGEST_ENGINE_FULL_SCAN=1`
-//! restores the scan (every round steps `0..n` with the idle fast-path
-//! check); `tests/worklist_equivalence.rs` pins the two modes to
-//! bit-identical results.
+//! is identical to a full scan's. The scan itself (every round steps
+//! `0..n` behind the idle fast-path check) survives only as the
+//! `full_scan` reference this module's tests pin the worklist against,
+//! bit for bit; [`crate::Network`] always passes `false`.
 //!
 //! Two further scale provisions keep long, mostly-idle runs cheap (the
 //! measured decomposition's giant expander cluster streams for
@@ -124,12 +124,14 @@ impl RoundAgg {
 
 /// Runs the engine stepping vertices one at a time, in ascending id
 /// order. No `Send` bounds: programs may hold thread-local state.
+/// `full_scan` selects the pre-worklist reference (see the module docs).
 pub(crate) fn run_sequential<P, F>(
     g: &Graph,
     bandwidth_bits: usize,
     word_bits: usize,
     make: F,
     max_rounds: usize,
+    full_scan: bool,
 ) -> Result<(RunReport, Vec<P>)>
 where
     P: VertexProgram,
@@ -139,6 +141,7 @@ where
         g,
         make,
         max_rounds,
+        full_scan,
         |slots, halted, boxes, round, agg, active| {
             let (write, bcast, reader) = boxes.split_for_round(round);
             for &v in active {
@@ -174,6 +177,7 @@ pub(crate) fn run_parallel<P, F>(
     word_bits: usize,
     make: F,
     max_rounds: usize,
+    full_scan: bool,
 ) -> Result<(RunReport, Vec<P>)>
 where
     P: VertexProgram + Send,
@@ -184,6 +188,7 @@ where
         g,
         make,
         max_rounds,
+        full_scan,
         |slots, halted, boxes, round, agg, active| {
             let (write, bcast, reader) = boxes.split_for_round(round);
 
@@ -256,20 +261,15 @@ where
     )
 }
 
-/// Whether the full-scan fallback is requested: every round steps all
-/// `n` slots behind the idle fast-path check, as the engine did before
-/// the worklist. Kept as the reference the equivalence suite compares
-/// the worklist against (and as an escape hatch).
-fn full_scan_requested() -> bool {
-    std::env::var_os("CONGEST_ENGINE_FULL_SCAN").is_some_and(|v| v != "0" && !v.is_empty())
-}
-
 /// The shared round loop; `step_all` executes one round over the given
-/// worklist (this is the only thing the two modes do differently).
+/// worklist (this is the only thing the two modes do differently). With
+/// `full_scan` every round's list is all of `0..n`, as the engine did
+/// before the worklist.
 fn run_impl<P, F, S>(
     g: &Graph,
     mut make: F,
     max_rounds: usize,
+    full_scan: bool,
     mut step_all: S,
 ) -> Result<(RunReport, Vec<P>)>
 where
@@ -287,7 +287,6 @@ where
     let mut halted = vec![false; n];
     let mut boxes: Mailboxes<P::Msg> = Mailboxes::new(g);
     let mut report = RunReport::default();
-    let full_scan = full_scan_requested();
 
     // Round 0 steps every vertex (`init` runs everywhere); later rounds
     // step the worklist seeded by the previous round (see module docs).
@@ -377,5 +376,145 @@ fn step_vertex<P: VertexProgram>(
         // so it enrolls itself in the worklist (receivers are enrolled
         // by `flag_mail` at send time).
         reader.push_active(v);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Active-worklist ⇔ full-scan equivalence. The probe program
+    //! exercises every worklist transition: halted vertices woken by
+    //! mail, awake vertices with no mail (the self-push path), late
+    //! bursts re-flooding a quiesced network, and overlapping floods on
+    //! one receiver (the push-once dedup in `flag_mail`).
+
+    use super::*;
+    use crate::{ExecMode, Network};
+    use graph::gen;
+
+    /// Flood-with-TTL plus scheduled late wake-ups.
+    struct Pulse {
+        me: VertexId,
+        /// Order- and schedule-independent digest of everything received.
+        state: u64,
+        /// Round at which this vertex spontaneously bursts (0 = never).
+        wake_round: usize,
+        fired: bool,
+    }
+
+    impl Pulse {
+        fn new(me: VertexId) -> Pulse {
+            Pulse {
+                me,
+                state: 0,
+                // A sparse set of late talkers, staggered so the network
+                // quiesces between bursts (empty worklist stretches).
+                wake_round: if me % 29 == 3 {
+                    5 + (me as usize % 7) * 4
+                } else {
+                    0
+                },
+                fired: false,
+            }
+        }
+    }
+
+    impl VertexProgram for Pulse {
+        type Msg = u32;
+
+        fn init(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if self.me % 13 == 0 {
+                ctx.broadcast(3); // seed floods, ttl 3
+            }
+        }
+
+        fn round(&mut self, ctx: &mut Ctx<'_, u32>, inbox: Inbox<'_, u32>) {
+            let mut max_ttl = 0;
+            for (from, &ttl) in inbox {
+                self.state = self
+                    .state
+                    .wrapping_mul(0x100000001B3)
+                    .wrapping_add((from as u64) << 8 | ttl as u64);
+                max_ttl = max_ttl.max(ttl);
+            }
+            if max_ttl > 1 {
+                ctx.broadcast(max_ttl - 1); // forward the strongest pulse
+            }
+            if !self.fired && self.wake_round != 0 && ctx.round() == self.wake_round {
+                ctx.broadcast(2);
+                self.fired = true;
+            }
+        }
+
+        fn halted(&self) -> bool {
+            // Late talkers stay awake (idle, sending nothing) until they
+            // fire — the worklist must keep re-stepping them without mail.
+            self.fired || self.wake_round == 0
+        }
+    }
+
+    /// The shipped path (`Network`, worklist) or the full-scan reference.
+    fn run(g: &Graph, mode: ExecMode, full_scan: bool) -> (RunReport, Vec<u64>) {
+        let net = Network::new(g).with_exec_mode(mode);
+        let (bw, wb) = (net.bandwidth_bits(), net.word_bits());
+        let (report, programs) = match (full_scan, mode) {
+            (false, _) => net.run_collect(Pulse::new, 200),
+            (true, ExecMode::Sequential) => run_sequential(g, bw, wb, Pulse::new, 200, true),
+            (true, ExecMode::Parallel) => run_parallel(g, bw, wb, Pulse::new, 200, true),
+        }
+        .expect("pulse is a valid CONGEST program");
+        (report, programs.into_iter().map(|p| p.state).collect())
+    }
+
+    #[test]
+    fn worklist_matches_full_scan_bit_for_bit() {
+        // The rayon shim sizes its pool once per process, and other tests
+        // in this binary may already have sized it: re-run this test alone
+        // in a child process whose pool is forced to 4 threads.
+        if std::env::var("RAYON_NUM_THREADS").as_deref() != Ok("4") {
+            let name = module_path!().split_once("::").unwrap().1.to_string()
+                + "::worklist_matches_full_scan_bit_for_bit";
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([name.as_str(), "--exact", "--test-threads", "1"])
+                .env("RAYON_NUM_THREADS", "4")
+                .output()
+                .expect("re-run the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "4-thread run failed:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        assert_eq!(rayon::current_num_threads(), 4, "pool sized elsewhere");
+
+        let graphs = vec![
+            gen::gnp(400, 0.02, 11).unwrap(),
+            gen::gnp(900, 0.004, 12).unwrap(),
+            gen::cycle(257).unwrap(),
+            gen::star(120).unwrap(),
+            Graph::from_edges(50, [(0u32, 1u32)]).unwrap(), // mostly isolated
+        ];
+
+        for g in &graphs {
+            let worklist_seq = run(g, ExecMode::Sequential, false);
+            let worklist_par = run(g, ExecMode::Parallel, false);
+            let full_seq = run(g, ExecMode::Sequential, true);
+            let full_par = run(g, ExecMode::Parallel, true);
+
+            assert!(
+                worklist_seq.0.rounds > 6,
+                "probe must outlive its seed burst (n = {})",
+                g.n()
+            );
+            assert_eq!(worklist_seq, full_seq, "seq diverged (n = {})", g.n());
+            assert_eq!(worklist_par, full_par, "par diverged (n = {})", g.n());
+            assert_eq!(
+                worklist_seq,
+                worklist_par,
+                "exec modes diverged (n = {})",
+                g.n()
+            );
+        }
     }
 }

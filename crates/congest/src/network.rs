@@ -218,6 +218,7 @@ impl<'g> Network<'g> {
                 self.word_bits,
                 make,
                 max_rounds,
+                false,
             ),
             ExecMode::Parallel => scheduler::run_parallel(
                 self.g,
@@ -225,6 +226,7 @@ impl<'g> Network<'g> {
                 self.word_bits,
                 make,
                 max_rounds,
+                false,
             ),
         }
     }

@@ -194,8 +194,7 @@ impl Graph {
     /// * the adjacency is **symmetric with multiplicity**: `w` appears in
     ///   row `u` exactly as often as `u` appears in row `w`.
     ///
-    /// The symmetry pass costs `O(m log Δ)` on top of the `O(n + m)`
-    /// structural sweep.
+    /// Both the structural sweep and the symmetry pass are `O(n + m)`.
     ///
     /// # Errors
     ///
@@ -265,34 +264,29 @@ impl Graph {
                 prev = Some(w);
             }
         }
-        // Symmetry with multiplicity: walk each row in runs of equal
-        // neighbors and compare against the run of `v` inside that
-        // neighbor's (sorted) row. Checking only u < w visits each
-        // undirected pair once from both sides' perspective.
-        let run_count = |row: &[VertexId], x: VertexId| -> usize {
-            let start = row.partition_point(|&y| y < x);
-            row[start..].iter().take_while(|&&y| y == x).count()
-        };
+        // Symmetry with multiplicity, in one linear pass: visiting `u` in
+        // ascending order, each `w > u` in row `u` must be the next
+        // unmatched entry of row `w` (sorted rows list their lower
+        // neighbors in exactly this visiting order), and by `u`'s own turn
+        // every lower entry of row `u` must have been matched.
+        let mut matched = vec![0usize; n];
         for u in 0..n {
             let row = &adj[offsets[u]..offsets[u + 1]];
-            let mut i = 0;
-            while i < row.len() {
-                let w = row[i];
-                let mut j = i + 1;
-                while j < row.len() && row[j] == w {
-                    j += 1;
+            let lower = row.partition_point(|&w| (w as usize) < u);
+            if matched[u] != lower {
+                return invalid(format!(
+                    "asymmetric adjacency: row {u} lists a lower neighbor that does not list {u}"
+                ));
+            }
+            for &w in &row[lower..] {
+                let w = w as usize;
+                let at = offsets[w] + matched[w];
+                if at == offsets[w + 1] || adj[at] as usize != u {
+                    return invalid(format!(
+                        "asymmetric adjacency: {w} in row {u} has no matching {u} in row {w}"
+                    ));
                 }
-                if (u as VertexId) < w {
-                    let back = &adj[offsets[w as usize]..offsets[w as usize + 1]];
-                    let reverse = run_count(back, u as VertexId);
-                    if reverse != j - i {
-                        return invalid(format!(
-                            "asymmetric adjacency: {w} appears {}× in row {u} but {u} appears {reverse}× in row {w}",
-                            j - i
-                        ));
-                    }
-                }
-                i = j;
+                matched[w] += 1;
             }
         }
         let twice_m = adj.len();
@@ -536,6 +530,45 @@ impl Graph {
         g.loops.copy_from_slice(&loops);
         g.total_loops = loops.iter().map(|&l| l as usize).sum();
         g
+    }
+
+    /// The simple graph underlying `self`: every bundle of parallel edges
+    /// collapsed to one edge and every self loop dropped. Row `v` is
+    /// `neighbors(v)` deduplicated — the neighbor *set* a CONGEST vertex
+    /// knows — in one flat CSR.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use graph::Graph;
+    /// let g = Graph::from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 2)]).unwrap();
+    /// let s = g.to_simple();
+    /// assert_eq!(s.neighbors(1), &[0, 2]);
+    /// assert_eq!((s.m(), s.total_self_loops()), (2, 0));
+    /// ```
+    pub fn to_simple(&self) -> Graph {
+        let n = self.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(self.adj.len());
+        offsets.push(0);
+        for v in 0..n as VertexId {
+            let mut prev = None;
+            for &w in self.neighbors(v) {
+                if prev != Some(w) {
+                    adj.push(w);
+                    prev = Some(w);
+                }
+            }
+            offsets.push(adj.len());
+        }
+        adj.shrink_to_fit();
+        Graph {
+            offsets,
+            m: adj.len() / 2,
+            adj,
+            loops: vec![0; n],
+            total_loops: 0,
+        }
     }
 
     /// Returns a copy with `extra` additional self loops at `v`.
@@ -845,6 +878,18 @@ mod tests {
             vec![1, 1, 0],
             vec![0, 0],
             "asymmetric multiplicity",
+        );
+        bad(
+            vec![0, 0, 1],
+            vec![0],
+            vec![0, 0],
+            "unmatched lower neighbor",
+        );
+        bad(
+            vec![0, 2, 3, 4],
+            vec![1, 2, 0, 1],
+            vec![0; 3],
+            "crossed rows",
         );
     }
 

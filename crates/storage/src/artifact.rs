@@ -12,6 +12,10 @@
 //! [`QueryEngine::from_frozen`], which re-validates every structural
 //! invariant — so a corrupt payload is a typed error, never a panic.
 //!
+//! The payload holds no adjacency: [`load`] re-derives the engine's
+//! rows from the file's own graph sections ([`CsrFile::to_graph`], which
+//! validates them, then [`Graph::to_simple`]).
+//!
 //! The payload bytes are covered by the file checksum like every other
 //! section, and the byte layout is specified in `DATASETS.md`.
 
@@ -22,13 +26,16 @@ use crate::view::CsrFile;
 use crate::{Result, StorageError};
 use expander::decomposition::RemovalTag;
 use expander::ClusterCertificate;
+use graph::Graph;
 use routing::{HierarchyParts, LevelParts};
 use std::path::Path;
+use std::sync::Arc;
 use triangle::service::{FrozenCluster, FrozenEngine, FrozenReport, QueryEngine};
 
 /// Version byte of the artifact payload (independent of the file format
 /// version: the graph sections can stay readable across artifact bumps).
-pub const ARTIFACT_VERSION: u8 = 1;
+/// Version 2 dropped the per-cluster adjacency rows version 1 carried.
+pub const ARTIFACT_VERSION: u8 = 2;
 
 fn bad(reason: String) -> StorageError {
     StorageError::Artifact { reason }
@@ -106,14 +113,18 @@ pub fn store(path: &Path, engine: &QueryEngine) -> Result<()> {
 }
 
 /// Restores a [`QueryEngine`] from the artifact section of an opened
-/// file. The payload is decoded with bounds-checked reads and the engine
-/// is rebuilt through [`QueryEngine::from_frozen`], which re-validates
-/// every invariant a query relies on.
+/// file. The adjacency rows come from the file's own graph sections
+/// ([`CsrFile::to_graph`], deduplicated), the payload is decoded with
+/// bounds-checked reads, and the engine is rebuilt through
+/// [`QueryEngine::from_frozen`], which re-validates every invariant a
+/// query relies on.
 ///
 /// # Errors
 ///
 /// [`StorageError::Artifact`] when the file carries no artifact, the
-/// payload is malformed, or the frozen state fails validation.
+/// payload is malformed (an artifact of another version included), or
+/// the frozen state fails validation; [`StorageError::Corrupt`] when the
+/// graph sections fail the CSR invariants.
 ///
 /// # Examples
 ///
@@ -122,7 +133,8 @@ pub fn load(file: &CsrFile) -> Result<QueryEngine> {
     let bytes = file
         .artifact_bytes()
         .ok_or_else(|| bad("file carries no frozen artifact".to_string()))?;
-    let frozen = decode(bytes)?;
+    let rows = Arc::new(file.to_graph()?.to_simple());
+    let frozen = decode(bytes, rows)?;
     if frozen.n != file.n() || frozen.report.m as u64 != file.m() {
         return Err(bad(format!(
             "artifact describes n = {}, m = {}; file holds n = {}, m = {}",
@@ -193,18 +205,21 @@ pub fn restore_or_build(
     }
 }
 
-/// Serializes a [`FrozenEngine`] into the artifact payload bytes.
+/// Serializes a [`FrozenEngine`] into the artifact payload bytes —
+/// everything but its adjacency rows, which stay with the graph.
 ///
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use storage::artifact::{decode, encode};
 /// use triangle::service::QueryEngine;
 /// use triangle::PipelineParams;
 ///
 /// let g = graph::gen::gnp(20, 0.3, 11).unwrap();
 /// let frozen = QueryEngine::build(&g, &PipelineParams::default()).to_frozen();
-/// assert_eq!(decode(&encode(&frozen)).unwrap(), frozen);
+/// let rows = Arc::new(g.to_simple());
+/// assert_eq!(decode(&encode(&frozen), rows).unwrap(), frozen);
 /// ```
 pub fn encode(frozen: &FrozenEngine) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -234,10 +249,6 @@ pub fn encode(frozen: &FrozenEngine) -> Vec<u8> {
         w.put_f64(c.phi_target);
     }
     for fc in &frozen.clusters {
-        w.put_u64(fc.adj.len() as u64);
-        for row in &fc.adj {
-            w.put_u32_slice(row);
-        }
         w.put_u32_slice(&fc.local_deg);
         match &fc.hierarchy {
             None => w.put_u8(0),
@@ -267,9 +278,11 @@ pub fn encode(frozen: &FrozenEngine) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Deserializes artifact payload bytes back into a [`FrozenEngine`].
-/// Bounds-checked throughout: truncated or trailing bytes, unknown
-/// versions, and absurd length prefixes are typed errors.
+/// Deserializes artifact payload bytes back into a [`FrozenEngine`]
+/// answering from `rows`, the deduplicated adjacency of the graph the
+/// payload was stored with. Bounds-checked throughout: truncated or
+/// trailing bytes, unknown versions, and absurd length prefixes are
+/// typed errors.
 ///
 /// Decoding checks only the byte grammar; the *semantic* invariants are
 /// [`QueryEngine::from_frozen`]'s job (which [`load`] runs for you).
@@ -281,7 +294,7 @@ pub fn encode(frozen: &FrozenEngine) -> Vec<u8> {
 /// # Examples
 ///
 /// See [`encode`].
-pub fn decode(bytes: &[u8]) -> Result<FrozenEngine> {
+pub fn decode(bytes: &[u8], rows: Arc<Graph>) -> Result<FrozenEngine> {
     let mut r = ByteReader::new(bytes);
     let version = r.get_u8()?;
     if version != ARTIFACT_VERSION {
@@ -322,11 +335,6 @@ pub fn decode(bytes: &[u8]) -> Result<FrozenEngine> {
     }
     let mut clusters = Vec::with_capacity(x);
     for _ in 0..x {
-        let rows = r.get_len()?;
-        let mut adj = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            adj.push(r.get_u32_vec()?);
-        }
         let local_deg = r.get_u32_vec()?;
         let hierarchy = match r.get_u8()? {
             0 => None,
@@ -359,7 +367,6 @@ pub fn decode(bytes: &[u8]) -> Result<FrozenEngine> {
             t => return Err(bad(format!("hierarchy presence flag must be 0/1, got {t}"))),
         };
         clusters.push(FrozenCluster {
-            adj,
             local_deg,
             hierarchy,
         });
@@ -379,6 +386,7 @@ pub fn decode(bytes: &[u8]) -> Result<FrozenEngine> {
         inter_cluster,
         phi,
         certificates,
+        rows,
         clusters,
         local_of,
         report,
@@ -404,9 +412,9 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_exactly() {
-        let (_, engine) = engine_for(60, 0.2, 13);
+        let (g, engine) = engine_for(60, 0.2, 13);
         let frozen = engine.to_frozen();
-        let decoded = decode(&encode(&frozen)).unwrap();
+        let decoded = decode(&encode(&frozen), Arc::new(g.to_simple())).unwrap();
         assert_eq!(decoded, frozen);
     }
 
@@ -505,8 +513,10 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_never_panic() {
-        let (_, engine) = engine_for(40, 0.2, 31);
+        let (g, engine) = engine_for(40, 0.2, 31);
         let pristine = encode(&engine.to_frozen());
+        let rows = Arc::new(g.to_simple());
+        let decode = |bytes: &[u8]| decode(bytes, Arc::clone(&rows));
         // Truncations at every prefix length decode to a typed error.
         for cut in 0..pristine.len().min(200) {
             assert!(decode(&pristine[..cut]).is_err(), "prefix {cut} accepted");

@@ -9,7 +9,7 @@
 //! neighborhood walk streams `u32`s out of the adjacency section.
 //!
 //! The one cross-row invariant `open` does **not** check is adjacency
-//! symmetry (`w ∈ row(u) ⇔ u ∈ row(w)`), which costs `O(m log Δ)`;
+//! symmetry (`w ∈ row(u) ⇔ u ∈ row(w)`), a second pass over the rows;
 //! [`CsrFile::to_graph`] validates it when materializing a [`Graph`]
 //! (see [`Graph::from_csr_parts`]). The checksum already catches
 //! accidental corruption; the symmetry pass is the defense against a
@@ -362,7 +362,8 @@ mod tests {
         let mapped = CsrFile::open(&path).unwrap();
         // The heap path is env-gated; exercise the decode logic by
         // comparing the mapped view against the materialized graph (the
-        // heap branch itself is covered by STORAGE_FORCE_HEAP in CI).
+        // heap branch itself is covered by CI's STORAGE_FORCE_HEAP=1 run
+        // of `tests/storage_roundtrip.rs` and `tests/artifact_persistence.rs`).
         assert_eq!(mapped.to_graph().unwrap(), g);
         std::fs::remove_dir_all(&dir).ok();
     }

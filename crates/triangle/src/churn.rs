@@ -39,7 +39,7 @@
 //! from-scratch [`QueryEngine::build`] on the final graph. Routing
 //! *charges* are excluded: reused hierarchies keep their original seeds
 //! and cluster ids, so charge accounting may differ while answers — pure
-//! functions of the frozen adjacency snapshots — cannot.
+//! functions of the deduplicated adjacency rows — cannot.
 
 use crate::count::{count_triangles, Triangle};
 use crate::pipeline::PipelineParams;

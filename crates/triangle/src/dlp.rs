@@ -217,16 +217,17 @@ impl<'a> DlpInstance<'a> {
                 (a, b, x)
             };
             let r = self.rank(t1, t2, t3);
-            // Ranks increase with x, so the owner pointer only advances.
+            // Ranks increase with x, so the owner pointer only advances,
+            // possibly past many owners at once (skewed degrees give long
+            // runs of one-triple ranges): it jumps by binary search
+            // instead of walking them.
             let o = if owner == usize::MAX {
                 self.bounds.partition_point(|&bound| bound <= r) - 1
+            } else if self.bounds[owner + 1] <= r {
+                ops += 1;
+                owner + self.bounds[owner + 1..].partition_point(|&bound| bound <= r)
             } else {
-                let mut o = owner;
-                while self.bounds[o + 1] <= r {
-                    o += 1;
-                    ops += 1;
-                }
-                o
+                owner
             };
             if o != owner {
                 if owner != usize::MAX {

@@ -42,7 +42,6 @@ use expander::{ExpanderDecomposition, ParamMode};
 use graph::view::Subgraph;
 use graph::{Graph, VertexId, VertexSet, WorkingGraph};
 use routing::{QueryCharge, RoutingHierarchy};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for [`enumerate_via_decomposition`].
@@ -464,6 +463,9 @@ impl<'p> PipelineRun<'p> {
             overlay.remove_edges(assignment.inter_cluster_edges(), false);
             overlay
         };
+        // Each vertex's neighbor set on the level graph — the local
+        // knowledge CONGEST grants it, and what the exchange streams.
+        let rows = current.to_simple();
         let mut level = LevelReport {
             depth: input.depth,
             m: current.m(),
@@ -495,6 +497,7 @@ impl<'p> PipelineRun<'p> {
             let cluster_seed = derive_seed(input.level_seed, id as u64);
             run_cluster(
                 current,
+                &rows,
                 &kept,
                 part,
                 params,
@@ -613,49 +616,26 @@ struct ClusterRun {
 }
 
 /// Reusable per-job arenas: a job clears what it uses (keeping the
-/// capacities) instead of reallocating, and the adjacency buffers are
-/// reclaimed from the finished engine run for the next job.
+/// capacities) instead of reallocating.
 #[derive(Debug, Default)]
 struct ClusterScratch {
-    /// Spare neighbor-list buffers for the member adjacency snapshot.
-    adj: Vec<Vec<VertexId>>,
     /// Closed-form DLP accounting scratch: raw pair-bucket sizes and
     /// per-holder incident-entry counts ([`dlp::DlpInstance`]).
     pair_raw: Vec<u64>,
     holder_inc: Vec<u64>,
 }
 
-/// Snapshots the full-graph adjacency of every member: one sorted,
-/// deduplicated neighbor row per member, in member order. This is the
-/// "local knowledge" CONGEST grants each vertex, and the **only** graph
-/// state the build phase hands to query-time consumers — both
-/// [`run_cluster`]'s adjacency exchange and the frozen per-cluster
-/// artifacts of [`crate::service::QueryEngine`] are built from these rows,
-/// which is what makes their answers bit-identical. Buffers are reused
-/// from (and should be returned to) `spare`, the [`ScratchPool`] arena
-/// convention.
-pub(crate) fn snapshot_member_adjacency(
-    g: &Graph,
-    members: &[VertexId],
-    spare: &mut Vec<Vec<VertexId>>,
-) -> Vec<Vec<VertexId>> {
-    members
-        .iter()
-        .map(|&v| {
-            let mut a = spare.pop().unwrap_or_default();
-            a.clear();
-            a.extend_from_slice(g.neighbors(v));
-            a.dedup(); // neighbors() is sorted; drop parallel edges
-            a
-        })
-        .collect()
-}
-
 /// Runs one cluster: routing redistribution accounting + the engine-driven
 /// adjacency exchange + the local joins. Pure per
 /// `(inputs, cluster_seed)` — the scheduler's determinism contract.
+///
+/// `rows` is the level graph's deduplicated adjacency
+/// ([`Graph::to_simple`]); members stream and join their rows from it by
+/// global id.
+#[allow(clippy::too_many_arguments)] // one cluster job's full context
 fn run_cluster(
     current: &Graph,
+    rows: &Graph,
     kept: &WorkingGraph,
     part: &VertexSet,
     params: &PipelineParams,
@@ -666,16 +646,6 @@ fn run_cluster(
     let mut scratch = scratch_pool.acquire();
     let sub = Subgraph::induced(kept, part);
     let members: Vec<VertexId> = sub.parent_ids().to_vec();
-    let local_n = members.len();
-
-    // Full-graph (current level) adjacency of every member, sorted and
-    // deduplicated — the per-vertex local knowledge CONGEST grants. The
-    // buffers come from (and return to) the scratch arena.
-    let full_adj: Arc<Vec<Vec<VertexId>>> = Arc::new(snapshot_member_adjacency(
-        current,
-        &members,
-        &mut scratch.adj,
-    ));
 
     let t_route = Instant::now();
     // ── Phase: route — closed-form redistribution accounting of the
@@ -704,33 +674,23 @@ fn run_cluster(
     // invisible on the planted families' small blocks, gigabytes on the
     // giant expander-core cluster the measured decomposition keeps
     // whole.)
-    let higher: Arc<Vec<Vec<VertexId>>> = Arc::new(
-        (0..local_n)
-            .map(|u| {
-                let mut hs: Vec<VertexId> = sub
-                    .graph()
-                    .neighbors(u as VertexId)
-                    .iter()
-                    .copied()
-                    .filter(|&w| (w as usize) > u)
-                    .collect();
-                hs.dedup(); // sorted rows: parallel edges collapse
-                hs
-            })
-            .collect(),
-    );
-    let max_items = full_adj.iter().map(Vec::len).max().unwrap_or(0);
+    // Cluster rows with parallel edges collapsed: a vertex's senders are
+    // the tail of its row above its own local id.
+    let local_rows = sub.graph().to_simple();
+    let max_items = members
+        .iter()
+        .map(|&v| rows.neighbors(v).len())
+        .max()
+        .unwrap_or(0);
     let network = Network::new(sub.graph()).with_exec_mode(params.exec);
     // The per-round packing budget: the link's whole O(log n)-bit budget,
     // in bytes.
     let budget_bytes = packed::round_budget_bytes(network.bandwidth_bits());
-    let adj_for_make = Arc::clone(&full_adj);
-    let higher_for_make = Arc::clone(&higher);
-    let make = move |v: VertexId| {
+    let make = |v: VertexId| {
+        let local = local_rows.neighbors(v);
         AdjacencyExchange::new(
-            v,
-            Arc::clone(&adj_for_make),
-            Arc::clone(&higher_for_make),
+            rows.neighbors(members[v as usize]),
+            &local[local.partition_point(|&w| w <= v)..],
             budget_bytes,
         )
     };
@@ -741,20 +701,16 @@ fn run_cluster(
     let t_join = Instant::now();
 
     // Local joins: for every intra-cluster edge {u, v} (lower local id
-    // owns it), the program already merged N(v)'s stream against N(u) —
-    // read off the intersections and name the triangles.
+    // owns it, so v is one of u's `higher` senders), the program already
+    // merged N(v)'s stream against N(u) — read off the intersections and
+    // name the triangles.
     let mut triangles = triangle_buffers.take();
     triangles.clear();
     for (u_local, prog) in programs.iter().enumerate() {
         let u_global = members[u_local];
-        let mut prev = None;
-        for &v_local in sub.graph().neighbors(u_local as VertexId) {
-            if (v_local as usize) <= u_local || prev == Some(v_local) {
-                continue; // lower endpoint owns the edge; skip parallels
-            }
-            prev = Some(v_local);
+        for (&v_local, matches) in prog.higher.iter().zip(&prog.matches) {
             let v_global = members[v_local as usize];
-            for &w in prog.matches_for(v_local) {
+            for &w in matches {
                 if w != u_global && w != v_global {
                     triangles.push(Triangle::new(u_global, v_global, w));
                 }
@@ -764,13 +720,6 @@ fn run_cluster(
     triangles.sort_unstable();
     triangles.dedup();
     let wall_join = t_join.elapsed();
-
-    // The programs held the only other Arc clones; reclaim the adjacency
-    // buffers into the arena for the next job.
-    drop(programs);
-    if let Ok(adj) = Arc::try_unwrap(full_adj) {
-        scratch.adj.extend(adj);
-    }
 
     ClusterRun {
         triangles,
@@ -851,37 +800,31 @@ fn route_cluster_slices(
 /// plus `O(1)` codec state per sender.
 ///
 /// Rounds = `⌈max full-graph degree in the cluster / ids-per-message⌉`.
-struct AdjacencyExchange {
-    me: usize,
-    /// Shared per-vertex full-graph adjacency, indexed by local id.
-    adj: Arc<Vec<Vec<VertexId>>>,
-    /// Sender-side stream cursor over `adj[me]`.
+struct AdjacencyExchange<'a> {
+    /// This vertex's sorted, deduplicated full-graph adjacency (global
+    /// ids), read in place from the level's rows.
+    own: &'a [VertexId],
+    /// Sender-side stream cursor over `own`.
     enc: IdStreamEncoder,
     /// Per-round packing budget in bytes (the link bandwidth).
     budget_bytes: usize,
-    /// Shared per-vertex sorted higher-local-id cluster neighbor lists:
-    /// `higher[me]` names the only senders this vertex consumes.
-    higher: Arc<Vec<Vec<VertexId>>>,
-    /// Per-sender decode state, parallel to `higher[me]`.
+    /// Sorted higher-local-id cluster neighbors: the only senders this
+    /// vertex consumes.
+    higher: &'a [VertexId],
+    /// Per-sender decode state, parallel to `higher`.
     decoders: Vec<IdStreamDecoder>,
-    /// Per-sender merge cursor into `adj[me]`, parallel to `higher[me]`.
+    /// Per-sender merge cursor into `own`, parallel to `higher`.
     cursors: Vec<u32>,
     /// Per-sender intersection `N(me) ∩ N(sender)` accumulated so far,
-    /// parallel to `higher[me]`.
+    /// parallel to `higher`.
     matches: Vec<Vec<VertexId>>,
 }
 
-impl AdjacencyExchange {
-    fn new(
-        me: VertexId,
-        adj: Arc<Vec<Vec<VertexId>>>,
-        higher: Arc<Vec<Vec<VertexId>>>,
-        budget_bytes: usize,
-    ) -> Self {
-        let slots = higher[me as usize].len();
+impl<'a> AdjacencyExchange<'a> {
+    fn new(own: &'a [VertexId], higher: &'a [VertexId], budget_bytes: usize) -> Self {
+        let slots = higher.len();
         AdjacencyExchange {
-            me: me as usize,
-            adj,
+            own,
             enc: IdStreamEncoder::new(),
             budget_bytes,
             higher,
@@ -891,24 +834,14 @@ impl AdjacencyExchange {
         }
     }
 
-    /// The intersection of this vertex's adjacency with the stream
-    /// collected from `sender`, or empty if `sender` is not a higher-id
-    /// cluster neighbor. Sorted ascending (streams are).
-    fn matches_for(&self, sender: VertexId) -> &[VertexId] {
-        match self.higher[self.me].binary_search(&sender) {
-            Ok(i) => &self.matches[i],
-            Err(_) => &[],
-        }
-    }
-
     fn stream_next(&mut self, ctx: &mut Ctx<'_, PackedIds>) {
-        if let Some(msg) = self.enc.next_message(&self.adj[self.me], self.budget_bytes) {
+        if let Some(msg) = self.enc.next_message(self.own, self.budget_bytes) {
             ctx.broadcast(msg);
         }
     }
 }
 
-impl VertexProgram for AdjacencyExchange {
+impl VertexProgram for AdjacencyExchange<'_> {
     type Msg = PackedIds;
 
     fn init(&mut self, ctx: &mut Ctx<'_, PackedIds>) {
@@ -921,11 +854,11 @@ impl VertexProgram for AdjacencyExchange {
         // per-message binary search. Each decoded id advances the
         // per-sender cursor through our own sorted list; equal ids are
         // the join's third vertices.
-        let own = &self.adj[self.me][..];
-        let higher = &self.higher[self.me];
+        let (own, higher) = (self.own, self.higher);
+        let me = ctx.me();
         let mut hi = 0usize;
         for (sender, msg) in inbox {
-            if (sender as usize) <= self.me {
+            if sender <= me {
                 continue;
             }
             while higher[hi] < sender {
@@ -950,7 +883,7 @@ impl VertexProgram for AdjacencyExchange {
     }
 
     fn halted(&self) -> bool {
-        self.enc.finished(&self.adj[self.me])
+        self.enc.finished(self.own)
     }
 }
 

@@ -15,12 +15,12 @@
 //!   (cluster id per vertex, certificates, the inter-cluster edge list),
 //! * one [`RoutingHierarchy`] per routable cluster, built on the cluster's
 //!   kept-edge induced subgraph exactly as the pipeline builds it,
-//! * per-cluster **adjacency snapshots** — the same sorted, deduplicated
-//!   full-graph neighbor rows the pipeline's adjacency exchange streams
-//!   ([`crate::pipeline`]'s `snapshot_member_adjacency`), which is what
-//!   makes service answers agree with pipeline enumeration.
+//! * the served graph's **deduplicated adjacency** ([`Graph::to_simple`]),
+//!   one flat CSR shared by `Arc` — the same sorted neighbor rows the
+//!   pipeline's adjacency exchange streams, which is what makes service
+//!   answers agree with pipeline enumeration.
 //!
-//! Queries ([`Query`]) are answered from the snapshots alone; the frozen
+//! Queries ([`Query`]) are answered from those rows alone; the frozen
 //! hierarchies are consulted **read-only** through
 //! [`RoutingHierarchy::route_query`] to charge each answer's word/round
 //! cost ([`QueryCharge`]) against the paper budget. The engine is
@@ -37,10 +37,10 @@
 //! out the contract.
 
 use crate::count::Triangle;
-use crate::pipeline::{snapshot_member_adjacency, PipelineParams};
+use crate::pipeline::PipelineParams;
 use expander::decomposition::RemovalTag;
 use expander::recluster::Reuse;
-use expander::scheduler::{derive_seed, run_jobs, JobStats, SchedulerPolicy, ScratchPool};
+use expander::scheduler::{derive_seed, run_jobs, JobStats, SchedulerPolicy};
 use expander::{ClusterAssignment, ClusterCertificate, ExpanderDecomposition};
 use graph::view::Subgraph;
 use graph::{intersect_sorted, Graph, VertexId, VertexSet, WorkingGraph};
@@ -161,11 +161,12 @@ pub struct BuildReport {
     /// Heaviest per-cluster hierarchy preprocessing charge (clusters
     /// build in parallel, so the max is the critical path).
     pub hierarchy_build_rounds: u64,
-    /// Total words frozen into the adjacency snapshots.
+    /// Words in the deduplicated adjacency rows the engine answers from
+    /// (twice the number of distinct non-loop edges).
     pub snapshot_words: u64,
     /// Wall clock of the decomposition (or assignment intake).
     pub wall_decompose: Duration,
-    /// Wall clock of freezing snapshots + hierarchies.
+    /// Wall clock of freezing the rows + hierarchies.
     pub wall_freeze: Duration,
 }
 
@@ -177,17 +178,15 @@ impl BuildReport {
     }
 }
 
-/// Per-cluster frozen state: the adjacency snapshot rows (indexed by the
-/// cluster-local id), the induced-subgraph degree snapshot the read-only
-/// routing charge consults, and the cluster's hierarchy (absent for
-/// clusters with no internal edge or fewer than two vertices — the same
-/// degeneracy convention as the pipeline's `route_cluster_slices`, which
-/// charges such clusters zero).
+/// Per-cluster frozen state: the induced-subgraph degree snapshot the
+/// read-only routing charge consults (indexed by the cluster-local id),
+/// and the cluster's hierarchy (absent for clusters with no internal edge
+/// or fewer than two vertices — the same degeneracy convention as the
+/// pipeline's `route_cluster_slices`, which charges such clusters zero).
 #[derive(Debug)]
 struct ClusterArtifact {
-    adj: Vec<Vec<VertexId>>,
     local_deg: Vec<u32>,
-    /// `Arc`'d so a re-certified cluster re-freezes its rows around it.
+    /// `Arc`'d so a re-certified cluster re-freezes its degrees around it.
     hierarchy: Option<Arc<RoutingHierarchy>>,
     /// Intra-cluster deletions `hierarchy` has absorbed since it was
     /// built. In-memory only: a restored engine starts from zero.
@@ -225,13 +224,16 @@ fn carry_tolerates(h: &RoutingHierarchy, absorbed: usize, vol: usize) -> bool {
 #[derive(Debug)]
 pub struct QueryEngine {
     assignment: Arc<ClusterAssignment>,
+    /// The served graph's deduplicated adjacency: every query reads its
+    /// rows here, by global id.
+    rows: Arc<Graph>,
     /// Per-cluster frozen artifacts. Individually `Arc`'d so an
     /// incremental refreeze ([`QueryEngine::refreeze`]) can carry
-    /// untouched clusters' snapshots and hierarchies into the next engine
+    /// untouched clusters' degrees and hierarchies into the next engine
     /// by pointer instead of rebuilding them.
     clusters: Vec<Arc<ClusterArtifact>>,
-    /// Cluster-local index of every vertex (its row in the cluster's
-    /// snapshot and its id in the cluster's hierarchy).
+    /// Cluster-local index of every vertex (its id in the cluster's
+    /// degree snapshot and hierarchy).
     local_of: Vec<u32>,
     build: BuildReport,
 }
@@ -247,7 +249,7 @@ const _: fn() = || {
 impl QueryEngine {
     /// Runs the build phase once: the measured expander decomposition at
     /// level 0 (`derive_seed(params.seed, 0)`, exactly the pipeline's
-    /// level-0 seed), then freezes snapshots and hierarchies via
+    /// level-0 seed), then freezes rows and hierarchies via
     /// [`QueryEngine::from_assignment`]'s machinery.
     ///
     /// Graphs with no edges or fewer than three vertices cannot contain a
@@ -307,11 +309,11 @@ impl QueryEngine {
 
     /// Freezes a churned assignment while **reusing** the per-cluster
     /// artifacts of a previous engine, per entry of `reuse`:
-    /// [`Reuse::Untouched`] carries the old cluster's snapshot rows, degree
-    /// snapshot and hierarchy (with its original seed) from `prev` by
-    /// `Arc` pointer; [`Reuse::Recertified`] re-freezes rows and degrees
-    /// from `g` and carries only the hierarchy, while the deletions it has
-    /// absorbed since it was built stay inside the carry rule
+    /// [`Reuse::Untouched`] carries the old cluster's degree snapshot and
+    /// hierarchy (with its original seed) from `prev` by `Arc` pointer;
+    /// [`Reuse::Recertified`] re-freezes the degrees from `g` and carries
+    /// only the hierarchy, while the deletions it has absorbed since it
+    /// was built stay inside the carry rule
     /// (`absorbed · τ_mix ≤ vol`; past it the hierarchy is rebuilt and the
     /// count restarts); [`Reuse::Fresh`] clusters are frozen from scratch.
     /// This is the churn tier's incremental rebuild: a cluster pays for
@@ -323,9 +325,10 @@ impl QueryEngine {
     /// adjacency row, so its artifact is bit-identical to a fresh freeze;
     /// a re-certified cluster has identical membership — the cluster-local
     /// ids the hierarchy is indexed by — and still certifies φ. Answers
-    /// are pure functions of the re-frozen rows. Carried hierarchies keep
-    /// their seeds, groups, portals and `τ_mix`, so routing *charges* may
-    /// differ from a from-scratch build; answers never do.
+    /// are pure functions of the rows, which are always re-read from `g`.
+    /// Carried hierarchies keep their seeds, groups, portals and `τ_mix`,
+    /// so routing *charges* may differ from a from-scratch build; answers
+    /// never do.
     ///
     /// # Panics
     ///
@@ -374,10 +377,11 @@ impl QueryEngine {
         matches!((&a.hierarchy, &b.hierarchy), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
-    /// The shared freeze: per-cluster snapshot + hierarchy jobs on the
-    /// deterministic scheduler, seeded like the pipeline's level-0
-    /// cluster jobs. With a `reuse` context, untouched clusters are carried
-    /// over by pointer and re-certified ones keep their hierarchy.
+    /// The shared freeze: the deduplicated rows of `g`, then per-cluster
+    /// degree + hierarchy jobs on the deterministic scheduler, seeded like
+    /// the pipeline's level-0 cluster jobs. With a `reuse` context,
+    /// untouched clusters are carried over by pointer and re-certified
+    /// ones keep their hierarchy.
     fn freeze(
         g: &Graph,
         assignment: ClusterAssignment,
@@ -396,26 +400,20 @@ impl QueryEngine {
             overlay
         };
         let level_seed = derive_seed(params.seed, 0);
-        let spare_rows: ScratchPool<Vec<Vec<VertexId>>> = ScratchPool::new();
+        let rows = Arc::new(g.to_simple());
         let jobs: Vec<(usize, &VertexSet)> = assignment.clusters.iter().enumerate().collect();
         let (artifacts, _stats) = run_jobs(jobs, &policy, |_, (id, part)| {
             let recertified = match reuse.map(|(prev, map)| (prev, map[id])) {
                 Some((prev, Reuse::Untouched(old))) => return Arc::clone(&prev.clusters[old]),
                 Some((prev, Reuse::Recertified { old, deleted })) => {
-                    debug_assert_eq!(prev.clusters[old].adj.len(), part.len());
                     Some((&prev.clusters[old], deleted))
                 }
                 Some((_, Reuse::Fresh)) | None => None,
             };
-            let members: Vec<VertexId> = part.iter().collect();
-            let mut spare = spare_rows.take();
-            let adj = snapshot_member_adjacency(g, &members, &mut spare);
-            spare_rows.put(spare);
             let cert = &assignment.certificates[id];
-            let (hierarchy, local_deg, absorbed) = if cert.internal_edges > 0 && members.len() >= 2
-            {
+            let (hierarchy, local_deg, absorbed) = if cert.internal_edges > 0 && part.len() >= 2 {
                 let sub = Subgraph::induced(&kept, part);
-                let local_deg: Vec<u32> = (0..members.len())
+                let local_deg: Vec<u32> = (0..part.len())
                     .map(|u| sub.graph().degree(u as VertexId) as u32)
                     .collect();
                 let carried = recertified.and_then(|(old, deleted)| {
@@ -437,7 +435,6 @@ impl QueryEngine {
                 (None, Vec::new(), 0)
             };
             Arc::new(ClusterArtifact {
-                adj,
                 local_deg,
                 hierarchy,
                 absorbed,
@@ -450,18 +447,7 @@ impl QueryEngine {
                 local_of[v as usize] = local as u32;
             }
         }
-        let routed_clusters = artifacts.iter().filter(|a| a.hierarchy.is_some()).count();
-        let hierarchy_build_rounds = artifacts
-            .iter()
-            .filter_map(|a| a.hierarchy.as_deref())
-            .map(RoutingHierarchy::preprocessing_rounds)
-            .max()
-            .unwrap_or(0);
-        let snapshot_words: u64 = artifacts
-            .iter()
-            .flat_map(|a| a.adj.iter())
-            .map(|row| row.len() as u64)
-            .sum();
+        let (routed_clusters, hierarchy_build_rounds) = hierarchy_totals(&artifacts);
         let build = BuildReport {
             n: g.n(),
             m: g.m(),
@@ -470,12 +456,13 @@ impl QueryEngine {
             phi: assignment.phi,
             decomposition_rounds,
             hierarchy_build_rounds,
-            snapshot_words,
+            snapshot_words: 2 * rows.m() as u64,
             wall_decompose,
             wall_freeze: t0.elapsed(),
         };
         QueryEngine {
             assignment: Arc::new(assignment),
+            rows,
             clusters: artifacts,
             local_of,
             build,
@@ -515,12 +502,6 @@ impl QueryEngine {
         }
     }
 
-    /// The frozen adjacency row of `v`: sorted, deduplicated, full-graph.
-    fn adj_of(&self, v: VertexId) -> &[VertexId] {
-        let c = self.assignment.cluster_of[v as usize] as usize;
-        &self.clusters[c].adj[self.local_of[v as usize] as usize]
-    }
-
     /// Charges `words` converging on owner `v` through `v`'s frozen
     /// cluster hierarchy ([`RoutingHierarchy::route_query`]); clusters
     /// without a hierarchy charge zero queries/rounds — the same
@@ -551,7 +532,7 @@ impl QueryEngine {
         match query {
             Query::Vertex { v, emit } => {
                 self.check(v)?;
-                let adj = self.adj_of(v);
+                let adj = self.rows.neighbors(v);
                 let mut words = adj.len() as u64;
                 let mut count = 0u64;
                 let mut triangles = Vec::new();
@@ -561,7 +542,7 @@ impl QueryEngine {
                     }
                     // Both u and the emitted w are neighbors of v; keeping
                     // w > u names each triangle {v, u, w} exactly once.
-                    words += intersect_sorted(adj, self.adj_of(u), |w| {
+                    words += intersect_sorted(adj, self.rows.neighbors(u), |w| {
                         if w > u && w != v {
                             count += 1;
                             if emit == Emit::Enumerate {
@@ -590,9 +571,9 @@ impl QueryEngine {
                 // charged the streamed words.
                 let mut words = 1u64;
                 if u != v {
-                    let au = self.adj_of(u);
+                    let au = self.rows.neighbors(u);
                     if au.binary_search(&v).is_ok() {
-                        words += intersect_sorted(au, self.adj_of(v), |w| {
+                        words += intersect_sorted(au, self.rows.neighbors(v), |w| {
                             if w != u && w != v {
                                 count += 1;
                                 if emit == Emit::Enumerate {
@@ -614,7 +595,7 @@ impl QueryEngine {
             }
             Query::TopKBySupport { v, k } => {
                 self.check(v)?;
-                let adj = self.adj_of(v);
+                let adj = self.rows.neighbors(v);
                 let mut words = adj.len() as u64;
                 let mut edges: Vec<EdgeSupport> = Vec::with_capacity(adj.len());
                 for &u in adj {
@@ -622,7 +603,7 @@ impl QueryEngine {
                         continue;
                     }
                     let mut support = 0u64;
-                    words += intersect_sorted(adj, self.adj_of(u), |w| {
+                    words += intersect_sorted(adj, self.rows.neighbors(u), |w| {
                         if w != u && w != v {
                             support += 1;
                         }
@@ -702,8 +683,9 @@ impl QueryEngine {
     }
 
     /// Snapshots the engine into plain owned data ([`FrozenEngine`]) that
-    /// a persistence layer can serialize. Everything a query touches is
-    /// captured — restoring with [`QueryEngine::from_frozen`] yields
+    /// a persistence layer can serialize, plus the shared adjacency rows
+    /// (by `Arc`, not copied). Everything a query touches is captured —
+    /// restoring with [`QueryEngine::from_frozen`] yields
     /// **bit-identical** answers, charges included.
     pub fn to_frozen(&self) -> FrozenEngine {
         FrozenEngine {
@@ -718,11 +700,11 @@ impl QueryEngine {
             inter_cluster: self.assignment.inter_cluster.clone(),
             phi: self.assignment.phi,
             certificates: self.assignment.certificates.clone(),
+            rows: Arc::clone(&self.rows),
             clusters: self
                 .clusters
                 .iter()
                 .map(|a| FrozenCluster {
-                    adj: a.adj.clone(),
                     local_deg: a.local_deg.clone(),
                     hierarchy: a.hierarchy.as_deref().map(RoutingHierarchy::to_parts),
                 })
@@ -764,6 +746,12 @@ impl QueryEngine {
             return Err(bad(format!(
                 "local_of covers {} vertices, n = {n}",
                 frozen.local_of.len()
+            )));
+        }
+        if frozen.rows.n() != n {
+            return Err(bad(format!(
+                "adjacency rows cover {} vertices, n = {n}",
+                frozen.rows.n()
             )));
         }
         if frozen.certificates.len() != x || frozen.clusters.len() != x {
@@ -814,28 +802,6 @@ impl QueryEngine {
         let mut artifacts = Vec::with_capacity(x);
         for (c, fc) in frozen.clusters.into_iter().enumerate() {
             let size = frozen.members[c].len();
-            if fc.adj.len() != size {
-                return Err(bad(format!(
-                    "cluster {c} snapshot has {} rows for {size} members",
-                    fc.adj.len()
-                )));
-            }
-            for (slot, row) in fc.adj.iter().enumerate() {
-                let mut prev: Option<VertexId> = None;
-                for &w in row {
-                    if (w as usize) >= n {
-                        return Err(bad(format!(
-                            "cluster {c} row {slot} names vertex {w} >= n = {n}"
-                        )));
-                    }
-                    if prev.is_some_and(|p| p >= w) {
-                        return Err(bad(format!(
-                            "cluster {c} row {slot} is not sorted/deduplicated"
-                        )));
-                    }
-                    prev = Some(w);
-                }
-            }
             let hierarchy = match fc.hierarchy {
                 None => None,
                 Some(parts) => {
@@ -854,24 +820,12 @@ impl QueryEngine {
                 }
             };
             artifacts.push(Arc::new(ClusterArtifact {
-                adj: fc.adj,
                 local_deg: fc.local_deg,
                 hierarchy,
                 absorbed: 0,
             }));
         }
-        let routed_clusters = artifacts.iter().filter(|a| a.hierarchy.is_some()).count();
-        let hierarchy_build_rounds = artifacts
-            .iter()
-            .filter_map(|a| a.hierarchy.as_deref())
-            .map(RoutingHierarchy::preprocessing_rounds)
-            .max()
-            .unwrap_or(0);
-        let snapshot_words: u64 = artifacts
-            .iter()
-            .flat_map(|a| a.adj.iter())
-            .map(|row| row.len() as u64)
-            .sum();
+        let (routed_clusters, hierarchy_build_rounds) = hierarchy_totals(&artifacts);
         let assignment = ClusterAssignment {
             n,
             cluster_of: frozen.cluster_of,
@@ -892,17 +846,30 @@ impl QueryEngine {
             phi: frozen.phi,
             decomposition_rounds: frozen.report.decomposition_rounds,
             hierarchy_build_rounds,
-            snapshot_words,
+            snapshot_words: 2 * frozen.rows.m() as u64,
             wall_decompose: Duration::from_nanos(frozen.report.wall_decompose_ns),
             wall_freeze: Duration::from_nanos(frozen.report.wall_freeze_ns),
         };
         Ok(QueryEngine {
             assignment: Arc::new(assignment),
+            rows: frozen.rows,
             clusters: artifacts,
             local_of: frozen.local_of,
             build,
         })
     }
+}
+
+/// `(routed_clusters, hierarchy_build_rounds)` of a frozen cluster list:
+/// how many clusters route, and the heaviest preprocessing charge among
+/// them (clusters build in parallel, so the max is the critical path).
+fn hierarchy_totals(artifacts: &[Arc<ClusterArtifact>]) -> (usize, u64) {
+    let hierarchies = || artifacts.iter().filter_map(|a| a.hierarchy.as_deref());
+    let rounds = hierarchies()
+        .map(RoutingHierarchy::preprocessing_rounds)
+        .max()
+        .unwrap_or(0);
+    (hierarchies().count(), rounds)
 }
 
 fn duration_to_ns(d: Duration) -> u64 {
@@ -1001,15 +968,17 @@ impl ServeReport {
     }
 }
 
-/// A [`QueryEngine`] flattened into plain owned data — no `Arc`, no
-/// private routing state — so a storage layer can serialize it and
-/// rebuild the engine later without re-running the decomposition or the
-/// hierarchy builds. Produced by [`QueryEngine::to_frozen`]; consumed
-/// (with full re-validation) by [`QueryEngine::from_frozen`].
+/// A [`QueryEngine`] flattened into plain data — no private routing
+/// state — so a storage layer can serialize it and rebuild the engine
+/// later without re-running the decomposition or the hierarchy builds.
+/// Produced by [`QueryEngine::to_frozen`]; consumed (with full
+/// re-validation) by [`QueryEngine::from_frozen`].
 ///
 /// The round trip is **answer-preserving bit for bit**: every quantity a
-/// query reads — snapshots, local ids, hierarchy levels and portals,
-/// degree oracles — is captured, so [`QueryCharge`]s match too.
+/// query reads — adjacency rows, local ids, hierarchy levels and
+/// portals, degree oracles — is captured, so [`QueryCharge`]s match too.
+/// The rows are shared, not copied: a persistence layer already holds
+/// them as the graph itself.
 ///
 /// # Examples
 ///
@@ -1038,6 +1007,9 @@ pub struct FrozenEngine {
     pub phi: f64,
     /// Per-cluster certificates, index-aligned with `members`.
     pub certificates: Vec<ClusterCertificate>,
+    /// The served graph's deduplicated adjacency, shared with the engine
+    /// by pointer. Must be simple, as [`Graph::to_simple`] makes it.
+    pub rows: Arc<Graph>,
     /// Per-cluster frozen artifacts, index-aligned with `members`.
     pub clusters: Vec<FrozenCluster>,
     /// Cluster-local index of every vertex.
@@ -1046,13 +1018,11 @@ pub struct FrozenEngine {
     pub report: FrozenReport,
 }
 
-/// One cluster's frozen artifact: adjacency snapshot rows, the induced
-/// degree oracle, and the hierarchy as plain [`HierarchyParts`] (absent
-/// for degenerate clusters, matching the build-time convention).
+/// One cluster's frozen artifact: the induced degree oracle and the
+/// hierarchy as plain [`HierarchyParts`] (absent for degenerate
+/// clusters, matching the build-time convention).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrozenCluster {
-    /// Sorted, deduplicated full-graph neighbor rows, by local id.
-    pub adj: Vec<Vec<VertexId>>,
     /// Induced-subgraph degree of each member (empty when degenerate).
     pub local_deg: Vec<u32>,
     /// The cluster's routing hierarchy, if it has one.
@@ -1434,8 +1404,8 @@ mod tests {
         assert!(r.clusters > 0);
         assert!(r.routed_clusters <= r.clusters);
         assert!(
-            r.snapshot_words >= 2 * g.m() as u64,
-            "snapshots hold every edge twice minus loops/parallels"
+            r.snapshot_words == 2 * g.m() as u64,
+            "gnp is simple: the rows hold every edge twice"
         );
         assert!(r.wall_total() >= r.wall_decompose);
     }
@@ -1566,21 +1536,8 @@ mod tests {
                 }),
             ),
             (
-                "snapshot row dropped",
-                Box::new(|f| f.clusters[0].adj.pop().map(|_| ()).unwrap()),
-            ),
-            (
-                "snapshot row unsorted",
-                Box::new(|f| {
-                    let row = f.clusters[0].adj.iter_mut().find(|r| r.len() >= 2).unwrap();
-                    row.reverse();
-                }),
-            ),
-            (
-                "snapshot names ghost vertex",
-                Box::new(|f| {
-                    f.clusters[0].adj[0] = vec![99];
-                }),
+                "rows for a smaller graph",
+                Box::new(|f| f.rows = Arc::new(graph::gen::gnp(39, 0.25, 59).unwrap())),
             ),
             (
                 "inter-cluster edge out of range",

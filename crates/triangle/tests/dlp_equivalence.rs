@@ -161,6 +161,19 @@ fn closed_form_undercuts_enumeration_at_scale() {
     );
 }
 
+/// Skewed degrees put long runs of one-triple owner ranges between two
+/// consecutive references of one pair bucket. The owner pointer must jump
+/// those runs, not walk them: walking them pushed the closed form past
+/// its own budget on power-law clusters (5,000 vertices: 139,241 ops
+/// against 132,764). A plain `assert!`, so release builds check it too.
+#[test]
+fn skewed_power_law_clusters_stay_within_budget() {
+    for n in [5_000, 20_000] {
+        let g = gen::power_law_fast(n, 2.5, 10.0, 1).unwrap();
+        check_cluster(&g, &VertexSet::full(n), 7);
+    }
+}
+
 /// End-to-end ledger guard: a pipeline run records the closed-form op
 /// count and its budget, and the count stays under the budget — a
 /// regression back to triple enumeration trips this immediately.
