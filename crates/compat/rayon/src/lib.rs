@@ -13,10 +13,11 @@
 //! It also provides [`scope`]/[`Scope::spawn`] for *coarse-grained* tasks
 //! (the recursion scheduler spawns a handful of worker tasks per level,
 //! each pulling jobs from a shared queue). Two honest deviations from
-//! rayon: each spawned task gets its own scoped OS thread instead of a
-//! pooled worker (fine at task counts ≲ dozens, which is the only way the
-//! workspace uses it — [`scope`] caps concurrency at [`MAX_SCOPED_TASKS`]
-//! and queues the rest), and the task closure takes no `&Scope` argument
+//! rayon: the tasks run on the caller's thread plus freshly spawned
+//! scoped OS threads instead of pooled workers (fine at task counts
+//! ≲ dozens, which is the only way the workspace uses it — [`scope`] caps
+//! concurrency at [`MAX_SCOPED_TASKS`] and queues the rest), and the task
+//! closure takes no `&Scope` argument
 //! (swap in real rayon by writing `|_| …`; nested spawn is unused here).
 //!
 //! Thread count: `RAYON_NUM_THREADS` if set, else
@@ -151,10 +152,12 @@ impl<'env> Scope<'env> {
 /// Creates a task scope: `f` spawns tasks via [`Scope::spawn`]; all of
 /// them have run to completion when `scope` returns.
 ///
-/// A single task runs inline on the caller's thread (zero spawn
-/// overhead); otherwise each task gets a scoped OS thread, at most
-/// [`MAX_SCOPED_TASKS`] concurrently (excess tasks are pulled from a
-/// shared queue as workers free up).
+/// At most [`MAX_SCOPED_TASKS`] workers drain a shared task queue: the
+/// caller's thread is one of them, and each of the others is a scoped OS
+/// thread, so a single task runs inline with zero spawn overhead and `t`
+/// tasks spawn `t − 1` threads. Excess tasks are pulled from the queue as
+/// workers free up. A panicking task is propagated once every worker has
+/// stopped.
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: FnOnce(&Scope<'env>) -> R,
@@ -164,29 +167,21 @@ where
     };
     let result = f(&s);
     let tasks = s.tasks.into_inner();
-    match tasks.len() {
-        0 => {}
-        1 => {
-            for t in tasks {
-                t();
-            }
+    let workers = tasks.len().min(MAX_SCOPED_TASKS);
+    let queue: Mutex<VecDeque<Box<dyn FnOnce() + Send + 'env>>> = Mutex::new(tasks.into());
+    let drain = || loop {
+        let task = queue.lock().expect("scope queue poisoned").pop_front();
+        match task {
+            Some(t) => t(),
+            None => break,
         }
-        len => {
-            let workers = len.min(MAX_SCOPED_TASKS);
-            let queue: Mutex<VecDeque<Box<dyn FnOnce() + Send + 'env>>> = Mutex::new(tasks.into());
-            std::thread::scope(|ts| {
-                for _ in 0..workers {
-                    ts.spawn(|| loop {
-                        let task = queue.lock().expect("scope queue poisoned").pop_front();
-                        match task {
-                            Some(t) => t(),
-                            None => break,
-                        }
-                    });
-                }
-            });
+    };
+    std::thread::scope(|ts| {
+        for _ in 1..workers {
+            ts.spawn(drain);
         }
-    }
+        drain();
+    });
     result
 }
 
@@ -434,6 +429,48 @@ mod tests {
             s.spawn(|| ran_on = Some(std::thread::current().id()));
         });
         assert_eq!(ran_on, Some(caller));
+    }
+
+    #[test]
+    fn scope_runs_one_of_two_tasks_on_the_caller() {
+        // The barrier keeps either worker from draining both tasks, so
+        // the two tasks must land on the two workers.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let ran_on = std::sync::Mutex::new(Vec::new());
+        super::scope(|s| {
+            for task in 0..2 {
+                let (barrier, ran_on) = (&barrier, &ran_on);
+                s.spawn(move || {
+                    barrier.wait();
+                    let me = std::thread::current().id();
+                    ran_on.lock().unwrap().push((task, me));
+                });
+            }
+        });
+        let mut ran_on = ran_on.into_inner().unwrap();
+        ran_on.sort_by_key(|&(task, _)| task);
+        let tasks: Vec<usize> = ran_on.iter().map(|&(task, _)| task).collect();
+        assert_eq!(tasks, [0, 1], "every task runs exactly once");
+        let on_caller = ran_on.iter().filter(|&&(_, id)| id == caller).count();
+        assert_eq!(on_caller, 1, "one task runs on the caller's thread");
+    }
+
+    #[test]
+    fn scope_propagates_a_task_panic() {
+        let counter = std::sync::atomic::AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            super::scope(|s| {
+                s.spawn(|| panic!("task failed"));
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    });
+                }
+            });
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(counter.into_inner(), 3, "the other tasks still ran");
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! (this is the low-probability event `B` of Lemma 7). Otherwise it
 //! returns the union `U_{i*}` of the first `i*` cuts, where `i*` is the
 //! largest prefix with volume at most `(23/24)·Vol(V)`.
+//!
+//! The simulator runs the instances simultaneously too: every
+//! `(start, b)` is drawn up front in index order, the instances run as
+//! [`run_jobs`] jobs, and their outcomes are folded in index order, so
+//! the result is the same at every thread count (DESIGN.md §7).
 
 use crate::nibble::approximate_nibble;
 use crate::params::SparseCutParams;
 use crate::rounds::RoundLedger;
+use crate::scheduler::{run_jobs, SchedulerPolicy};
 use graph::{Graph, VertexId, VertexSet};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -101,24 +107,30 @@ pub fn parallel_nibble(
 
     // Run all k instances; they execute simultaneously, so the round cost
     // of this block is the per-instance maximum times the congestion
-    // factor (how many instances share an edge), charged below.
-    //
-    // Per-edge participation counts are tracked as per-vertex instance
-    // bitmasks when k fits a word — an edge participates in instance i
-    // iff either endpoint is in P_i, so its count is the popcount of the
-    // endpoint-mask union. The HashMap over all touched edges this
-    // replaces dominated the ParallelNibble profile at scale.
+    // factor (how many instances share an edge), charged below. No draw
+    // depends on an outcome, so drawing every `(start, b)` first keeps the
+    // rng stream of one instance after another; `approximate_nibble` is
+    // pure, so the instances run as scheduler jobs.
     let k = params.k_parallel;
+    let draws: Vec<(VertexId, u32)> = (0..k)
+        .map(|_| (sample_start(g, rng), sample_scale(params.nibble.ell, rng)))
+        .collect();
+    let (outcomes, _stats) = run_jobs(draws, &SchedulerPolicy::parallel(), |_, (start, b)| {
+        approximate_nibble(g, start, &params.nibble, b)
+    });
+
+    // Fold the outcomes in index order. Per-edge participation counts
+    // are tracked as per-vertex instance bitmasks when k fits a word — an
+    // edge participates in instance i iff either endpoint is in P_i, so
+    // its count is the popcount of the endpoint-mask union. The HashMap
+    // over all touched edges this replaces dominated the ParallelNibble
+    // profile at scale.
     let use_masks = k <= u64::BITS as usize;
     let mut masks: Vec<u64> = if use_masks { vec![0; n] } else { Vec::new() };
     let mut touched: Vec<VertexId> = Vec::new();
     let mut participation: HashMap<(VertexId, VertexId), usize> = HashMap::new();
-    let mut outcomes = Vec::with_capacity(k);
     let mut max_instance_rounds = 0u64;
-    for i in 0..k {
-        let start = sample_start(g, rng);
-        let b = sample_scale(params.nibble.ell, rng);
-        let out = approximate_nibble(g, start, &params.nibble, b);
+    for (i, out) in outcomes.iter().enumerate() {
         max_instance_rounds = max_instance_rounds.max(out.ledger.total());
         // P* of Definition 2: edges with ≥ 1 endpoint in the support.
         if use_masks {
@@ -142,7 +154,6 @@ pub fn parallel_nibble(
                 }
             }
         }
-        outcomes.push(out);
     }
     let max_edge_participation = if use_masks {
         let mut best = 0u32;

@@ -18,6 +18,10 @@
 //!    [`derive_seed`]`(parent_seed, index)` — a function of the job's
 //!    logical position, never of the executing worker or of time.
 //!
+//! `parallel_nibble` uses [`run_jobs`] the same way for its `k`
+//! instances: the jobs draw nothing, because every `(start, b)` is drawn
+//! from the caller's rng in index order before the fan-out.
+//!
 //! [`ScratchPool`] recycles per-job scratch arenas across jobs and across
 //! recursion levels instead of reallocating them. The arenas hold
 //! *snapshots read through the level's `graph::WorkingGraph` overlay*

@@ -571,6 +571,20 @@ impl Graph {
         }
     }
 
+    /// [`Graph::to_simple`] by value: a graph that is already simple (no
+    /// self loop, no repeated neighbor) comes back as is, without a
+    /// second adjacency-sized allocation.
+    pub fn into_simple(self) -> Graph {
+        let simple = self.total_loops == 0
+            && (0..self.n() as VertexId)
+                .all(|v| self.neighbors(v).windows(2).all(|p| p[0] != p[1]));
+        if simple {
+            self
+        } else {
+            self.to_simple()
+        }
+    }
+
     /// Returns a copy with `extra` additional self loops at `v`.
     ///
     /// # Errors
@@ -694,6 +708,27 @@ mod tests {
         assert_eq!(g.degree(1), 2);
         assert_eq!(g.max_degree(), 2);
         assert_eq!(g.min_degree(), 1);
+    }
+
+    #[test]
+    fn into_simple_keeps_a_simple_graph() {
+        let g = path4();
+        let owned = g.clone();
+        let rows = owned.neighbors(0).as_ptr();
+        let s = owned.into_simple();
+        assert_eq!(s, g);
+        assert_eq!(s.neighbors(0).as_ptr(), rows, "no rebuilt adjacency");
+    }
+
+    #[test]
+    fn into_simple_collapses_a_multigraph() {
+        let bundle = Graph::from_edges(3, [(0, 1), (1, 0), (1, 2)]).unwrap();
+        let looped = Graph::from_edges(3, [(0, 1), (1, 2), (2, 2)]).unwrap();
+        for g in [bundle, looped] {
+            let s = g.to_simple();
+            assert_ne!(s, g);
+            assert_eq!(g.into_simple(), s);
+        }
     }
 
     #[test]

@@ -114,10 +114,10 @@ pub fn store(path: &Path, engine: &QueryEngine) -> Result<()> {
 
 /// Restores a [`QueryEngine`] from the artifact section of an opened
 /// file. The adjacency rows come from the file's own graph sections
-/// ([`CsrFile::to_graph`], deduplicated), the payload is decoded with
-/// bounds-checked reads, and the engine is rebuilt through
-/// [`QueryEngine::from_frozen`], which re-validates every invariant a
-/// query relies on.
+/// ([`CsrFile::to_graph`], deduplicated unless already simple), the
+/// payload is decoded with bounds-checked reads, and the engine is
+/// rebuilt through [`QueryEngine::from_frozen`], which re-validates
+/// every invariant a query relies on.
 ///
 /// # Errors
 ///
@@ -133,7 +133,7 @@ pub fn load(file: &CsrFile) -> Result<QueryEngine> {
     let bytes = file
         .artifact_bytes()
         .ok_or_else(|| bad("file carries no frozen artifact".to_string()))?;
-    let rows = Arc::new(file.to_graph()?.to_simple());
+    let rows = Arc::new(file.to_graph()?.into_simple());
     let frozen = decode(bytes, rows)?;
     if frozen.n != file.n() || frozen.report.m as u64 != file.m() {
         return Err(bad(format!(
